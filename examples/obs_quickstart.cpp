@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "fleet/session_fleet.h"
 #include "game/kernels.h"
-#include "game/public_board.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -56,7 +55,6 @@ int main() {
   // they are attached to.
   obs::MetricsRegistry registry;
   registry.SetInfo("kernel", kernels::VariantName(kernels::ActiveVariant()));
-  registry.SetInfo("board", BoardBackendName(specs[0].game.board_backend));
   obs::MetricSlot* fleet_slot = registry.AddSlot("fleet");
   obs::MetricSlot* session_slot = registry.AddSlot("sessions");
   obs::TraceBuffer trace(/*capacity=*/256);

@@ -383,23 +383,6 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
             " (expected " + std::to_string(r + 1) + ")");
       }
     }
-    // Board snapshot compatibility with this tenant's configured board —
-    // the same check PublicBoard::Restore enforces, hoisted here so it
-    // rejects before any session has been rebuilt.
-    const size_t capacity = specs_[i].game.board_capacity;
-    if (capacity != 0 && session.board.values.size() > capacity) {
-      return Status::InvalidArgument(
-          "checkpoint session #" + std::to_string(i) + " board snapshot "
-          "holds " + std::to_string(session.board.values.size()) +
-          " values for a board of capacity " + std::to_string(capacity));
-    }
-    if (session.board.total_recorded < session.board.values.size()) {
-      return Status::InvalidArgument(
-          "checkpoint session #" + std::to_string(i) + " board snapshot "
-          "total_recorded " + std::to_string(session.board.total_recorded) +
-          " is below its held value count " +
-          std::to_string(session.board.values.size()));
-    }
   }
 
   // Mutation phase: rebuild tenants from the specs (fresh

@@ -139,10 +139,10 @@ class SessionFleet {
   /// subsequent StepRounds are bit-identical to the original stream.
   ///
   /// All-or-nothing: the whole checkpoint (session count, lockstep round
-  /// alignment, per-session record/board-snapshot shape against this
-  /// fleet's specs) is validated *before* any session is touched, so a
-  /// truncated or corrupt checkpoint is rejected with the fleet's current
-  /// state — including a live, steppable stream — fully intact.
+  /// alignment, per-session record shape) is validated *before* any
+  /// session is touched, so a truncated or corrupt checkpoint is rejected
+  /// with the fleet's current state — including a live, steppable stream —
+  /// fully intact.
   Status Restore(const FleetCheckpoint& checkpoint);
 
   // -- Arrival-driven (per-tenant) stepping --------------------------------

@@ -93,10 +93,10 @@ struct TenantSpec {
 };
 
 /// \brief Compact parked state of a hibernated tenant: the session
-/// checkpoint (board values + round records + RNG) plus the one summary
-/// field the checkpoint cannot reconstruct without the live collector.
-/// Everything else — strategies, score-model geometry and pools, the
-/// board's order-statistic index — is rebuilt on rehydration.
+/// checkpoint (round records + RNG) plus the one summary field the
+/// checkpoint cannot reconstruct without the live collector. Everything
+/// else — strategies, score-model geometry and pools, the sealed public
+/// board — is rebuilt on rehydration by re-running the bootstrap.
 struct TenantHibernation {
   SessionCheckpoint checkpoint;
   int termination_round = 0;

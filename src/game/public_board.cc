@@ -1,25 +1,18 @@
 #include "game/public_board.h"
 
-#include <string>
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+
+#include "stats/quantile.h"
 
 namespace itrim {
 
-const char* BoardBackendName(BoardBackend backend) {
-  return backend == BoardBackend::kFlat ? "flat" : "treap";
-}
+PublicBoard::PublicBoard(size_t capacity, uint64_t seed)
+    : capacity_(capacity), seed_(seed), rng_(seed) {}
 
-PublicBoard::PublicBoard(size_t capacity, uint64_t seed, BoardBackend backend)
-    : capacity_(capacity), backend_(backend), rng_(seed) {
-  if (capacity_ > 0) {
-    // A bounded board's storage high-water mark is known up front; paying
-    // it here keeps the record path allocation-free from the first value.
-    values_.reserve(capacity_);
-    if (backend_ == BoardBackend::kFlat) {
-      flat_.Reserve(capacity_);
-    } else {
-      treap_.Reserve(capacity_);
-    }
-  }
+void PublicBoard::Reserve(size_t n) {
+  values_.reserve(capacity_ == 0 ? n : std::min(n, capacity_));
 }
 
 void PublicBoard::Record(const std::vector<double>& values) {
@@ -27,78 +20,50 @@ void PublicBoard::Record(const std::vector<double>& values) {
 }
 
 void PublicBoard::RecordOne(double value) {
+  assert(!sealed_ && "RecordOne() on a sealed board");
   ++total_recorded_;
   if (capacity_ == 0 || values_.size() < capacity_) {
     values_.push_back(value);
-    if (backend_ == BoardBackend::kFlat) {
-      flat_.Insert(value);
-    } else {
-      treap_.Insert(value);
-    }
   } else {
     // Reservoir sampling keeps the board an unbiased sample of everything
     // ever recorded while bounding memory.
     size_t j = static_cast<size_t>(rng_.UniformInt(total_recorded_));
-    if (j < capacity_) {
-      if (backend_ == BoardBackend::kFlat) {
-        flat_.EraseOne(values_[j]);
-        values_[j] = value;
-        flat_.Insert(value);
-      } else {
-        treap_.EraseOne(values_[j]);
-        values_[j] = value;
-        treap_.Insert(value);
-      }
-    }
+    if (j < capacity_) values_[j] = value;
   }
+}
+
+void PublicBoard::Seal() {
+  std::sort(values_.begin(), values_.end());
+  sealed_ = true;
 }
 
 Result<double> PublicBoard::Quantile(double q) const {
+  assert(sealed_ && "Quantile() on an unsealed board");
   if (values_.empty()) {
     return Status::FailedPrecondition("public board is empty");
   }
-  return backend_ == BoardBackend::kFlat ? flat_.Quantile(q)
-                                         : treap_.Quantile(q);
+  return QuantileSorted(values_, q);
 }
 
 double PublicBoard::PercentileRank(double x) const {
-  if (values_.empty()) return 0.0;
-  return backend_ == BoardBackend::kFlat ? flat_.PercentileRank(x)
-                                         : treap_.PercentileRank(x);
+  assert(sealed_ && "PercentileRank() on an unsealed board");
+  return PercentileRankSorted(values_, x);
+}
+
+double PublicBoard::FractionAtOrAbove(double x) const {
+  assert(sealed_ && "FractionAtOrAbove() on an unsealed board");
+  // `v >= NaN` holds for no v, while lower_bound would place NaN first.
+  if (values_.empty() || std::isnan(x)) return 0.0;
+  const auto first = std::lower_bound(values_.begin(), values_.end(), x);
+  return static_cast<double>(values_.end() - first) /
+         static_cast<double>(values_.size());
 }
 
 void PublicBoard::Clear() {
   values_.clear();
-  flat_.Clear();
-  treap_.Clear();
   total_recorded_ = 0;
-}
-
-PublicBoard::Snapshot PublicBoard::Save() const {
-  return Snapshot{values_, total_recorded_, rng_.Save()};
-}
-
-Status PublicBoard::Restore(const Snapshot& snapshot) {
-  if (capacity_ > 0 && snapshot.values.size() > capacity_) {
-    return Status::InvalidArgument(
-        "board snapshot holds " + std::to_string(snapshot.values.size()) +
-        " values but this board is configured with capacity " +
-        std::to_string(capacity_) +
-        " — restore into a board of the source's capacity");
-  }
-  values_ = snapshot.values;
-  total_recorded_ = snapshot.total_recorded;
-  rng_.Restore(snapshot.rng);
-  if (backend_ == BoardBackend::kFlat) {
-    flat_.Clear();
-    flat_.Reserve(capacity_);
-    for (double v : values_) flat_.Insert(v);
-  } else {
-    treap_.Clear();
-    treap_.Reserve(capacity_);
-    for (double v : values_) treap_.Insert(v);
-  }
-  return Status::OK();
+  rng_ = Rng(seed_);
+  sealed_ = false;
 }
 
 }  // namespace itrim

@@ -10,62 +10,58 @@
 // the cutoffs downward, so all round-to-round adaptivity lives in the
 // strategies, not in reference drift.
 //
-// Order statistics are served by one of two interchangeable backends (see
-// BoardBackend): the flat B-tree-style FlatOrderBoard (default — sorted
-// 64-double leaves over a Fenwick-counted flat index, cache-local) or the
-// size-augmented treap IndexedBoard. Both are O(log n) per operation and
-// *bit-identical* to the sorted-oracle semantics and to each other for
-// every reachable multiset (see flat_order_board.h / indexed_board.h for
-// the contract), so the choice is purely a performance knob — snapshots
-// taken under one backend restore under the other without any change in
-// the stream.
+// The board therefore has two phases. While building (inside
+// ScoreModel::Bootstrap) RecordOne() fills a reservoir of at most
+// `capacity` values; Seal() then sorts it once, and from then on the board
+// is a read-only sorted array answering Quantile()/PercentileRank() through
+// the sorted oracles in stats/quantile.h. Recording into a sealed board and
+// querying an unsealed one are programming errors (asserted). A reference
+// that moves during play belongs behind ReferencePolicy, not in the board.
 #ifndef ITRIM_GAME_PUBLIC_BOARD_H_
 #define ITRIM_GAME_PUBLIC_BOARD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "game/flat_order_board.h"
-#include "game/indexed_board.h"
 
 namespace itrim {
 
-/// \brief Selectable order-statistic index behind PublicBoard. Both
-/// backends answer every query bit-identically; they differ only in memory
-/// layout and speed (the flat board wins on cache locality).
-enum class BoardBackend {
-  kFlat = 0,   ///< FlatOrderBoard: contiguous sorted leaves + flat index
-  kTreap = 1,  ///< IndexedBoard: size-augmented treap (pointer-chasing)
-};
-
-/// \brief Human-readable backend name ("flat" / "treap").
-const char* BoardBackendName(BoardBackend backend);
-
-/// \brief Append-only record of retained scalar observations with
-/// incremental quantile queries.
-///
-/// Memory is bounded by reservoir downsampling once `capacity` is exceeded;
-/// quantiles are computed exactly over the (possibly downsampled) record.
+/// \brief Fixed reference sample: built by reservoir sampling, then sealed
+/// into a sorted array for exact quantile queries.
 class PublicBoard {
  public:
   /// Creates a board retaining at most `capacity` values (0 = unbounded).
-  explicit PublicBoard(size_t capacity = 0, uint64_t seed = 17,
-                       BoardBackend backend = BoardBackend::kFlat);
+  explicit PublicBoard(size_t capacity = 0, uint64_t seed = 17);
 
-  /// \brief Records a batch of retained values.
+  /// \brief Reserves room for the first `n` records (clamped to the
+  /// capacity), so building the board allocates once.
+  void Reserve(size_t n);
+
+  /// \brief Records a batch of values. Requires an unsealed board.
   void Record(const std::vector<double>& values);
 
-  /// \brief Records one retained value.
+  /// \brief Records one value; past `capacity`, reservoir sampling keeps
+  /// the board an unbiased sample of everything recorded. Requires an
+  /// unsealed board.
   void RecordOne(double value);
 
+  /// \brief Sorts the held values and freezes the board for queries.
+  void Seal();
+
   /// \brief q-quantile (q in [0,1]) of the recorded distribution.
-  /// Returns an error when the board is empty.
+  /// Requires a sealed board; returns an error when it is empty.
   Result<double> Quantile(double q) const;
 
   /// \brief Percentile rank of `x` in [0,1] against the recorded data.
+  /// Requires a sealed board.
   double PercentileRank(double x) const;
+
+  /// \brief Fraction of held values >= `x` (0 for a NaN `x` or an empty
+  /// board). Requires a sealed board.
+  double FractionAtOrAbove(double x) const;
 
   /// \brief Number of values currently held.
   size_t size() const { return values_.size(); }
@@ -73,46 +69,23 @@ class PublicBoard {
   /// \brief Total number of values ever recorded (pre-downsampling).
   size_t total_recorded() const { return total_recorded_; }
 
-  /// \brief All currently held values (unsorted, reservoir-slot order).
+  /// \brief All held values: reservoir-slot order while building, ascending
+  /// once sealed.
   const std::vector<double>& values() const { return values_; }
 
-  /// \brief Order-statistic backend this board was configured with.
-  BoardBackend backend() const { return backend_; }
+  bool sealed() const { return sealed_; }
 
-  /// \brief Drops all records.
+  /// \brief Drops all records and unseals; the reservoir stream restarts
+  /// from the construction seed, so a rebuild repeats the same draws.
   void Clear();
-
-  /// \brief Serializable board state for session checkpointing. Snapshots
-  /// are backend-agnostic: the order-statistic index is rebuilt on
-  /// Restore, so a snapshot taken under one backend restores under the
-  /// other with an identical subsequent stream.
-  struct Snapshot {
-    std::vector<double> values;
-    size_t total_recorded = 0;
-    Rng::Snapshot rng;
-  };
-
-  /// \brief Captures the current state (the order-statistic index is
-  /// rebuilt on Restore, not stored).
-  Snapshot Save() const;
-
-  /// \brief Restores a previously captured state. Errors (leaving the
-  /// board untouched) when the snapshot holds more values than this
-  /// board's configured capacity — a snapshot from a differently
-  /// configured source board.
-  Status Restore(const Snapshot& snapshot);
 
  private:
   size_t capacity_;
-  BoardBackend backend_;
+  uint64_t seed_;
+  bool sealed_ = false;
   size_t total_recorded_ = 0;
   Rng rng_;
   std::vector<double> values_;
-  // Only the configured backend is ever populated; the idle one stays
-  // empty (a default-constructed board owns no heap memory). Dispatch is a
-  // predictable branch on backend_, kept out of the templated query path.
-  FlatOrderBoard flat_;
-  IndexedBoard treap_;
 };
 
 }  // namespace itrim

@@ -51,9 +51,10 @@ double DefectShareQuality::Evaluate(std::span<const double> round_values,
   } else {
     lo_cut = band_lo_;
     hi_cut = band_hi_;
-    // Empirical clean occupancies from the calibration board.
-    double board_above_lo = FractionAtOrAbove(board.values(), lo_cut);
-    double board_above_hi = FractionAtOrAbove(board.values(), hi_cut);
+    // Empirical clean occupancies from the calibration board (binary
+    // searches over its sorted values).
+    double board_above_lo = board.FractionAtOrAbove(lo_cut);
+    double board_above_hi = board.FractionAtOrAbove(hi_cut);
     expected_band = board_above_lo - board_above_hi;
     expected_tail = board_above_hi;
   }

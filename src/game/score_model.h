@@ -78,7 +78,9 @@ class ScoreModel {
   virtual Status BeginRun() = 0;
 
   /// \brief Seeds the percentile reference: records `bootstrap_size` clean
-  /// scores on the board (and fixes any model geometry, e.g. PositionMap).
+  /// scores on the (unsealed) board and fixes any model geometry, e.g.
+  /// PositionMap. The board cannot be queried here; the session seals it
+  /// afterwards.
   virtual Status Bootstrap(size_t bootstrap_size, Rng* rng,
                            PublicBoard* board) = 0;
 

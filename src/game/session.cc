@@ -198,8 +198,7 @@ TrimmingSession::TrimmingSession(GameConfig config, ScoreModel* model,
     : config_(config), config_status_(config.Validate()), model_(model),
       collector_(collector), adversary_(adversary), quality_(quality),
       reference_(reference != nullptr ? reference : DefaultReferencePolicy()),
-      board_(config.board_capacity, BoardSeedFor(config, model),
-             config.board_backend),
+      board_(config.board_capacity, BoardSeedFor(config, model)),
       rng_(config.seed) {
   assert(collector != nullptr);
 }
@@ -221,14 +220,17 @@ Status TrimmingSession::Bootstrap() {
   collector_->Reset();
   if (adversary_ != nullptr) adversary_->Reset();
   board_.Clear();
+  board_.Reserve(config_.bootstrap_size);
   // Round 0: a clean calibration sample seeds the public board and fixes
   // the percentile reference both parties speak in. Trimming against a
   // reference that absorbed its own truncated output would spiral the
   // cutoff downward; anchoring it on the clean round-0 sample (the same
   // sample Algorithm 1's QE(X0) baseline comes from) keeps the percentile
-  // domain stable, while all adaptivity lives in the strategies.
+  // domain stable, while all adaptivity lives in the strategies. The board
+  // is sealed here and never recorded into again.
   ITRIM_RETURN_NOT_OK(model_->Bootstrap(config_.bootstrap_size, &rng_,
                                         &board_));
+  board_.Seal();
   prev_ = RoundObservation{};
   have_prev_ = false;
   poison_quota_ = 0.0;
@@ -411,18 +413,16 @@ SessionCheckpoint TrimmingSession::Checkpoint() const {
   cp.prev = prev_;
   cp.records = records_.ToVector();
   cp.rng = rng_.Save();
-  cp.board = board_.Save();
   return cp;
 }
 
 Status TrimmingSession::Restore(const SessionCheckpoint& checkpoint) {
-  // Re-run the bootstrap to rebuild model geometry (PositionMap etc.) from
-  // the same round-0 draws — the bootstrap is the first RNG consumer, so a
-  // fresh Rng(config.seed) replays it exactly. Then jump the stream state
-  // forward to the checkpoint.
+  // Re-run the bootstrap to rebuild model geometry (PositionMap etc.) and
+  // the sealed board from the same round-0 draws — the bootstrap is the
+  // first RNG consumer, so a fresh Rng(config.seed) replays it exactly.
+  // Then jump the stream state forward to the checkpoint.
   ITRIM_RETURN_NOT_OK(Bootstrap());
   rng_.Restore(checkpoint.rng);
-  ITRIM_RETURN_NOT_OK(board_.Restore(checkpoint.board));
   records_.Assign(checkpoint.records);
   // Strategy state is a function of the observation history for all the
   // paper's strategies; replaying the records reconstructs it exactly.

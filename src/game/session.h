@@ -18,9 +18,11 @@
 // seed (asserted by tests/game/session_test.cc).
 //
 // Sessions are checkpointable: Checkpoint() captures the full interaction
-// state (round counter, poison quota, RNG, board, per-round records) and
-// Restore() resumes a fresh session of the same configuration from it,
-// continuing the stream bit-identically. Strategy state is reconstructed by
+// state (round counter, poison quota, RNG, per-round records) and Restore()
+// resumes a fresh session of the same configuration from it, continuing the
+// stream bit-identically. The board is not carried: it is sealed at
+// bootstrap, and Restore() re-runs the bootstrap, which rebuilds it from the
+// same draws. Strategy state is reconstructed by
 // replaying the recorded observations, which is exact for every strategy
 // whose state is a function of its observation history (all the paper's
 // strategies). Two components sit outside the checkpoint and would need
@@ -73,10 +75,6 @@ struct GameConfig {
   double tth = 0.9;             ///< nominal threshold percentile
   size_t bootstrap_size = 500;  ///< clean board seed (round 0)
   size_t board_capacity = 20000;  ///< reservoir cap (0 = unbounded)
-  /// Order-statistic backend behind the public board. Both backends are
-  /// bit-identical for every query, so this is purely a performance knob;
-  /// the flat board is the default (cache-local, measurably faster).
-  BoardBackend board_backend = BoardBackend::kFlat;
   /// When true, trimming removes the top (1 - q) fraction of the received
   /// round itself instead of cutting at the board's q-quantile value.
   bool round_mass_trimming = false;
@@ -177,7 +175,6 @@ struct SessionCheckpoint {
   RoundObservation prev;
   std::vector<RoundRecord> records;
   Rng::Snapshot rng;
-  PublicBoard::Snapshot board;
 };
 
 /// \brief Incremental round-wise engine of the collection game.
@@ -200,7 +197,8 @@ class TrimmingSession {
                   ReferencePolicy* reference = nullptr);
 
   /// \brief Resets strategies/model and seeds the board with the clean
-  /// round-0 calibration sample that fixes the percentile reference.
+  /// round-0 calibration sample that fixes the percentile reference, then
+  /// seals the board.
   Status Bootstrap();
 
   /// \brief Plays the next round and returns its record. Requires a

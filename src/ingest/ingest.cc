@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.h"
 #include "game/kernels.h"
-#include "game/public_board.h"
 
 namespace itrim {
 
@@ -150,14 +149,10 @@ Status IngestService::Start() {
   }
   resident_base_ =
       static_cast<int64_t>(fleet_->ResidentTenants()) + prior_churn;
-  // Scrape-context identity: which kernel build and board backend this
-  // service's rounds actually run on.
+  // Scrape-context identity: which kernel build this service's rounds
+  // actually run on.
   registry_->SetInfo("kernel",
                      kernels::VariantName(kernels::ActiveVariant()));
-  if (fleet_->num_tenants() > 0) {
-    registry_->SetInfo(
-        "board", BoardBackendName(fleet_->tenant(0).config.board_backend));
-  }
   registry_->SetInfo("shards", std::to_string(shard_count));
   // Home assignment before any worker runs: every tenant belongs to
   // exactly one shard, so per-tenant event order is total and tenant

@@ -114,11 +114,14 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
     for (int h = 0; h < kNumHistograms; ++h) {
       const auto& cells = slot->histograms_[h];
       HistogramValue& hv = values.histograms[h];
+      // The total is the sum of the buckets as loaded, so the exported
+      // +Inf/count line cannot run ahead of the bucket lines while
+      // Observe() calls race this scrape.
       for (size_t b = 0; b < hv.counts.size(); ++b) {
         hv.counts[b] = cells.counts[b].load(std::memory_order_relaxed);
+        hv.count += hv.counts[b];
       }
       hv.sum = cells.sum.load(std::memory_order_relaxed);
-      hv.count = cells.count.load(std::memory_order_relaxed);
     }
 #endif
     for (int c = 0; c < kNumCounters; ++c) {

@@ -9,8 +9,8 @@
 //     steady-state proof (tests/game/zero_alloc_test.cc) runs with metrics
 //     attached.
 //   - Observability never perturbs computation or RNG, so every bit-identity
-//     invariant (thread counts, kernel variants, board backends, checkpoint,
-//     hibernation) holds with recording on or off. Enforced by bench_obs.
+//     invariant (thread counts, kernel variants, checkpoint, hibernation)
+//     holds with recording on or off. Enforced by bench_obs.
 //   - The whole layer compiles out behind ITRIM_OBS=0 (CMake -DITRIM_OBS=OFF):
 //     recording methods become empty inlines and the atomic storage vanishes;
 //     call sites additionally guard with `if constexpr (obs::kEnabled)` so a
@@ -210,7 +210,6 @@ class MetricSlot {
     while (bucket < n && v > info.bounds[bucket]) ++bucket;
     HistogramCells& cells = histograms_[static_cast<int>(h)];
     cells.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-    cells.count.fetch_add(1, std::memory_order_relaxed);
     // fetch_add on atomic<double> (C++20); libstdc++/libc++ lower it to a CAS
     // loop, which is still lock-free and allocation-free.
     cells.sum.fetch_add(v, std::memory_order_relaxed);
@@ -249,7 +248,6 @@ class MetricSlot {
   struct HistogramCells {
     std::array<std::atomic<uint64_t>, kMaxBuckets + 1> counts{};
     std::atomic<double> sum{0.0};
-    std::atomic<uint64_t> count{0};
   };
   std::array<std::atomic<uint64_t>, kNumCounters> counters_{};
   std::array<std::atomic<double>, kNumGauges> gauges_{};
@@ -264,7 +262,7 @@ class MetricSlot {
 struct HistogramValue {
   std::vector<uint64_t> counts;  // bounds.size() + 1 entries (last = +Inf)
   double sum = 0.0;
-  uint64_t count = 0;
+  uint64_t count = 0;  // sum of `counts` (Scrape derives it, see there)
 };
 
 struct SlotValues {
@@ -277,7 +275,7 @@ struct SlotValues {
 struct MetricsSnapshot {
   SlotValues merged;              // counters/histograms summed, gauges summed
   std::vector<SlotValues> slots;  // one per registered slot, in AddSlot order
-  // Build/deploy identity (kernel variant, board backend, ...), exported as
+  // Build/deploy identity (kernel variant, shard count, ...), exported as
   // an `itrim_build_info{...} 1` series.
   std::vector<std::pair<std::string, std::string>> info;
 };

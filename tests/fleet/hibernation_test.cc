@@ -1,8 +1,10 @@
 // Tenant hibernation/rehydration bit-identity: evicting a session to its
 // compact checkpoint and rebuilding it later must not perturb the stream.
-// Covered per model kind (scalar / distance / LDP / residual), per board backend
-// (flat / treap), mid-stream at every round boundary, and across repeated
-// hibernate-rehydrate cycles.
+// The checkpoint carries no board, so rehydration rebuilds the sealed board
+// by re-running the bootstrap; that rebuild is checked per model kind
+// (scalar / distance / LDP / residual), with a board that holds the whole
+// bootstrap sample and with one whose reservoir drops part of it, mid-stream
+// at every round boundary, and across repeated hibernate-rehydrate cycles.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -32,6 +34,15 @@ void ExpectRecordsBitIdentical(const std::vector<RoundRecord>& a,
   ExpectSummaryBitIdentical(sa, sb);
 }
 
+// Board capacities: one above the bootstrap size (80), one below it, so the
+// reservoir's replacement draws decide which bootstrap values are kept.
+constexpr size_t kWholeBoard = 2000;
+constexpr size_t kReservoirBoard = 48;
+
+const TenantModelKind kAllKinds[] = {
+    TenantModelKind::kScalar, TenantModelKind::kDistance,
+    TenantModelKind::kLdp, TenantModelKind::kResidual};
+
 class HibernationTest : public ::testing::Test {
  protected:
   HibernationTest()
@@ -39,17 +50,16 @@ class HibernationTest : public ::testing::Test {
         population_(UniformPool(3000, 31)), mechanism_(2.0),
         regression_(MakeSyntheticRegression(600, 3, 0.05, 47)) {}
 
-  TenantSpec SpecFor(TenantModelKind model, BoardBackend backend) {
+  TenantSpec SpecFor(TenantModelKind model, size_t board_capacity) {
     TenantSpec spec;
-    spec.name = TenantModelKindName(model) + "/" +
-                std::string(BoardBackendName(backend));
+    spec.name = TenantModelKindName(model) + "/capacity=" +
+                std::to_string(board_capacity);
     spec.model = model;
     spec.scheme = SchemeId::kElastic05;
     spec.game.round_size = 40;
     spec.game.bootstrap_size = 80;
     spec.game.attack_ratio = 0.15;
-    spec.game.board_capacity = 2000;
-    spec.game.board_backend = backend;
+    spec.game.board_capacity = board_capacity;
     switch (model) {
       case TenantModelKind::kScalar:
         spec.scalar_pool = &pool_;
@@ -92,20 +102,15 @@ class HibernationTest : public ::testing::Test {
   RegressionData regression_;
 };
 
-// The core contract, swept over every (model kind, board backend) cell:
+// The core contract, swept over every (model kind, board capacity) cell:
 // for every split point k in a 8-round stream, playing k rounds,
 // hibernating, rehydrating and playing the rest equals the uninterrupted
 // stream bit for bit.
 TEST_F(HibernationTest, MidStreamHibernationIsBitIdenticalEverywhere) {
   const int kRounds = 8;
-  const TenantModelKind kinds[] = {TenantModelKind::kScalar,
-                                   TenantModelKind::kDistance,
-                                   TenantModelKind::kLdp,
-                                   TenantModelKind::kResidual};
-  const BoardBackend backends[] = {BoardBackend::kFlat, BoardBackend::kTreap};
-  for (TenantModelKind model : kinds) {
-    for (BoardBackend backend : backends) {
-      TenantSpec spec = SpecFor(model, backend);
+  for (TenantModelKind model : kAllKinds) {
+    for (size_t capacity : {kWholeBoard, kReservoirBoard}) {
+      TenantSpec spec = SpecFor(model, capacity);
       SCOPED_TRACE(spec.name);
 
       SessionFleet reference = MakeFleet(spec);
@@ -140,14 +145,19 @@ TEST_F(HibernationTest, MidStreamHibernationIsBitIdenticalEverywhere) {
   }
 }
 
-// Repeated park/rebuild cycles — including several in a row with no round
-// in between — accumulate no drift.
+// Repeated park/rebuild cycles at every round boundary — two in a row with
+// no round in between — accumulate no drift, for every model kind with the
+// reservoir engaged. Each rebuild must also reproduce the never-hibernated
+// tenant's board exactly: same sample, same sealed order.
 TEST_F(HibernationTest, RepeatedCyclesAccumulateNoDrift) {
-  for (BoardBackend backend : {BoardBackend::kFlat, BoardBackend::kTreap}) {
-    TenantSpec spec = SpecFor(TenantModelKind::kDistance, backend);
+  for (TenantModelKind model : kAllKinds) {
+    TenantSpec spec = SpecFor(model, kReservoirBoard);
     SCOPED_TRACE(spec.name);
     SessionFleet reference = MakeFleet(spec);
     for (int r = 0; r < 6; ++r) ASSERT_TRUE(reference.StepTenant(0).ok());
+    const PublicBoard& reference_board = reference.tenant(0).session->board();
+    ASSERT_EQ(reference_board.size(), kReservoirBoard);
+    ASSERT_EQ(reference_board.total_recorded(), spec.game.bootstrap_size);
 
     SessionFleet fleet = MakeFleet(spec);
     for (int r = 0; r < 6; ++r) {
@@ -155,6 +165,10 @@ TEST_F(HibernationTest, RepeatedCyclesAccumulateNoDrift) {
       ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
       ASSERT_TRUE(fleet.HibernateTenant(0).ok());
       ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
+      const PublicBoard& board = fleet.tenant(0).session->board();
+      ASSERT_TRUE(board.sealed());
+      ASSERT_EQ(board.values(), reference_board.values());
+      ASSERT_EQ(board.total_recorded(), reference_board.total_recorded());
       ASSERT_TRUE(fleet.StepTenant(0).ok());
     }
     ExpectRecordsBitIdentical(reference.TenantRounds(0).ValueOrDie(),
@@ -166,7 +180,7 @@ TEST_F(HibernationTest, RepeatedCyclesAccumulateNoDrift) {
 // a fleet finished while parked reports the same per-tenant books as one
 // finished while resident.
 TEST_F(HibernationTest, FinishAccountsParkedTenants) {
-  TenantSpec spec = SpecFor(TenantModelKind::kScalar, BoardBackend::kFlat);
+  TenantSpec spec = SpecFor(TenantModelKind::kScalar, kWholeBoard);
   SessionFleet resident = MakeFleet(spec);
   for (int r = 0; r < 5; ++r) ASSERT_TRUE(resident.StepTenant(0).ok());
   FleetSummary expected = resident.Finish();
@@ -185,7 +199,7 @@ TEST_F(HibernationTest, FinishAccountsParkedTenants) {
 // per-tenant mode, double hibernation/rehydration is refused, and a
 // hibernated tenant cannot step.
 TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
-  TenantSpec spec = SpecFor(TenantModelKind::kScalar, BoardBackend::kFlat);
+  TenantSpec spec = SpecFor(TenantModelKind::kScalar, kWholeBoard);
   FleetConfig config;
   config.threads = 1;
   SessionFleet fleet(config, {spec});

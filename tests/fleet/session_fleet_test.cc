@@ -226,36 +226,6 @@ TEST_F(SessionFleetTest, RestoreRejectsTenantCountMismatch) {
   EXPECT_EQ(fleet.next_round(), 2);
 }
 
-TEST_F(SessionFleetTest, RestoreRejectsOversizedBoardSnapshot) {
-  FleetConfig config;
-  config.rounds = 3;
-  std::vector<TenantSpec> specs = HeterogeneousSpecs(3);
-  for (TenantSpec& spec : specs) spec.game.board_capacity = 64;
-  SessionFleet fleet(config, specs);
-  ASSERT_TRUE(fleet.Bootstrap().ok());
-  ASSERT_TRUE(fleet.StepRound().ok());
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
-
-  FleetCheckpoint oversized = checkpoint;
-  oversized.sessions[2].board.values.resize(
-      65, oversized.sessions[2].board.values.empty()
-              ? 0.0
-              : oversized.sessions[2].board.values.back());
-  oversized.sessions[2].board.total_recorded = 65;
-  EXPECT_EQ(fleet.Restore(oversized).code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(fleet.bootstrapped());
-
-  // A board claiming fewer total recordings than values it holds is
-  // internally inconsistent.
-  FleetCheckpoint shrunk = checkpoint;
-  shrunk.sessions[0].board.total_recorded = 0;
-  if (!shrunk.sessions[0].board.values.empty()) {
-    EXPECT_EQ(fleet.Restore(shrunk).code(), StatusCode::kInvalidArgument);
-  }
-
-  ASSERT_TRUE(fleet.Restore(checkpoint).ok());
-}
-
 // The regression the all-or-nothing contract exists for: a corrupted
 // checkpoint thrown at a mid-stream fleet must bounce off — the fleet
 // keeps stepping and finishes bit-identical to a never-interrupted run.

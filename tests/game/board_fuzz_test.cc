@@ -1,34 +1,30 @@
-// Differential fuzzing of BOTH order-statistic backends (the flat B-tree
-// board and the size-augmented treap) against the sorted oracle *and each
-// other* in the same pass, concentrated on the path the unit tests cover
-// least: the board_capacity reservoir boundary, where every record past
-// capacity becomes an EraseOne(old slot value) + Insert(new value) pair on
-// the index while the multiset size stays pinned at the cap.
+// Fuzzing of the sealed PublicBoard against the sorted oracles, across the
+// board_capacity reservoir boundary: every capacity from 1 to 64 plus the
+// unbounded board (0), each built from streams shorter than, equal to,
+// just past and far past the capacity, so the reservoir's replacement
+// draws are engaged.
 //
-// The interleavings are adversarial rather than uniform: monotone runs
-// (degenerate insertion orders for a balanced tree, leaf-split stress for
-// the flat board), duplicate floods (equal-key split/merge ties), sign-
-// flipping extremes (interpolation across huge gaps), and hover loops that
-// keep the size oscillating exactly at the boundary. Every check is exact —
-// bitwise agreement with QuantileSorted / PercentileRankSorted over the
-// same multiset, and bitwise agreement between the two backends — so any
-// divergence, however small, is a backend bug, not noise.
+// The value streams are adversarial rather than uniform: monotone runs,
+// duplicate floods (equal-key ties), and sign-flipping extremes
+// (interpolation across huge gaps). Each build is mirrored into an
+// independent reservoir replica fed from the same seed; after Seal() the
+// board must hold exactly the replica's multiset in ascending order, and
+// every Quantile / PercentileRank / FractionAtOrAbove answer must match
+// QuantileSorted / PercentileRankSorted / a plain count over the sorted
+// replica bit for bit.
 //
-// ITRIM_BOARD_FUZZ_OPS scales the per-case op count (default 1200 / 900).
-// The sanitizer CI leg runs a short-iteration variant through this knob so
-// ASan/UBSan still sweep the leaf memmove / rebalance paths without paying
-// the full differential budget.
+// ITRIM_BOARD_FUZZ_OPS scales the longest stream per build (default 900).
+// The sanitizer CI leg runs a short variant through this knob.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "game/flat_order_board.h"
-#include "game/indexed_board.h"
 #include "game/public_board.h"
 #include "stats/quantile.h"
 
@@ -37,17 +33,15 @@
 namespace itrim {
 namespace {
 
-// Per-case op budget, overridable for the short sanitizer sweep.
-int FuzzOps(int default_ops) {
+// Longest stream per build, overridable for the short sanitizer sweep.
+size_t FuzzOps() {
   if (const char* env = std::getenv("ITRIM_BOARD_FUZZ_OPS")) {
     int v = std::atoi(env);
-    if (v > 0) return v;
+    if (v > 0) return static_cast<size_t>(v);
   }
-  return default_ops;
+  return 900;
 }
 
-// Adversarial value generators; `step` counts calls so monotone patterns
-// keep marching across Clear()s.
 enum class ValuePattern {
   kUniform,
   kAscending,
@@ -81,7 +75,7 @@ double DrawValue(ValuePattern pattern, size_t step, Rng* rng) {
     case ValuePattern::kDescending:
       return -static_cast<double>(step) - rng->Uniform() * 0.25;
     case ValuePattern::kDuplicateFlood:
-      // Five distinct keys only: every split/merge hits equal-key ties.
+      // Five distinct keys only: every query hits equal-key ties.
       return static_cast<double>(rng->UniformInt(5));
     case ValuePattern::kSignFlipExtremes:
       return (step % 2 == 0 ? 1.0 : -1.0) *
@@ -90,152 +84,117 @@ double DrawValue(ValuePattern pattern, size_t step, Rng* rng) {
   return 0.0;
 }
 
-// Exhaustive cross-check of one multiset state on both backends: every k,
-// every boundary q, and ranks probed at the stored values themselves (the
-// <= tie path) plus nudges on both sides. Each backend is checked against
-// the sorted oracle AND against the other backend, bitwise.
-void CheckAllOrderStatistics(const FlatOrderBoard& flat,
-                             const IndexedBoard& treap,
-                             std::vector<double> mirror) {
-  std::sort(mirror.begin(), mirror.end());
-  ASSERT_EQ(flat.size(), mirror.size());
-  ASSERT_EQ(treap.size(), mirror.size());
-  if (mirror.empty()) {
-    EXPECT_FALSE(flat.Quantile(0.5).ok());
-    EXPECT_FALSE(treap.Quantile(0.5).ok());
-    EXPECT_TRUE(BitEqual(flat.PercentileRank(0.0), 0.0));
-    EXPECT_TRUE(BitEqual(treap.PercentileRank(0.0), 0.0));
+// Independent transcription of the seed board's reservoir (Algorithm R on
+// the board's own Rng stream).
+class ReservoirReplica {
+ public:
+  ReservoirReplica(size_t capacity, uint64_t seed)
+      : capacity_(capacity), rng_(seed) {}
+
+  void RecordOne(double value) {
+    ++total_;
+    if (capacity_ == 0 || values_.size() < capacity_) {
+      values_.push_back(value);
+    } else {
+      size_t j = static_cast<size_t>(rng_.UniformInt(total_));
+      if (j < capacity_) values_[j] = value;
+    }
+  }
+
+  std::vector<double> Sorted() const {
+    std::vector<double> sorted = values_;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  }
+
+ private:
+  size_t capacity_;
+  size_t total_ = 0;
+  Rng rng_;
+  std::vector<double> values_;
+};
+
+// Exhaustive check of a sealed board against the sorted replica: every
+// prctile knot and raw rank as a quantile, and ranks / tail fractions
+// probed at the stored values plus nudges on both sides and the
+// non-finite edges.
+void CheckSealedBoard(const PublicBoard& board,
+                      const std::vector<double>& sorted) {
+  ASSERT_TRUE(board.sealed());
+  ASSERT_EQ(board.values(), sorted);
+  if (sorted.empty()) {
+    EXPECT_FALSE(board.Quantile(0.5).ok());
+    EXPECT_TRUE(BitEqual(board.PercentileRank(0.0), 0.0));
+    EXPECT_TRUE(BitEqual(board.FractionAtOrAbove(0.0), 0.0));
     return;
   }
-  for (size_t k = 0; k < mirror.size(); ++k) {
-    ASSERT_TRUE(BitEqual(flat.Kth(k), mirror[k])) << "flat k=" << k;
-    ASSERT_TRUE(BitEqual(treap.Kth(k), mirror[k])) << "treap k=" << k;
-    ASSERT_TRUE(BitEqual(flat.Kth(k), treap.Kth(k))) << "cross k=" << k;
-  }
-  const size_t n = mirror.size();
-  std::vector<double> probes = {0.0, 1.0, 0.5};
+  const size_t n = sorted.size();
+  std::vector<double> qs = {0.0, 1.0, 0.5, -0.25, 1.25};
   for (size_t i = 0; i < n; ++i) {
-    // The prctile interpolation knots (i + 0.5) / n and the raw ranks.
-    probes.push_back((static_cast<double>(i) + 0.5) / static_cast<double>(n));
-    probes.push_back(static_cast<double>(i) / static_cast<double>(n));
+    qs.push_back((static_cast<double>(i) + 0.5) / static_cast<double>(n));
+    qs.push_back(static_cast<double>(i) / static_cast<double>(n));
   }
-  for (double q : probes) {
-    const double want = QuantileSorted(mirror, q);
-    ASSERT_TRUE(BitEqual(flat.Quantile(q).ValueOrDie(), want))
-        << "flat q=" << q;
-    ASSERT_TRUE(BitEqual(treap.Quantile(q).ValueOrDie(), want))
-        << "treap q=" << q;
+  for (double q : qs) {
+    ASSERT_TRUE(
+        BitEqual(board.Quantile(q).ValueOrDie(), QuantileSorted(sorted, q)))
+        << "q=" << q;
   }
-  for (size_t i = 0; i < n; ++i) {
-    for (double x : {mirror[i], std::nextafter(mirror[i], 1e308),
-                     std::nextafter(mirror[i], -1e308)}) {
-      const double want = PercentileRankSorted(mirror, x);
-      ASSERT_TRUE(BitEqual(flat.PercentileRank(x), want)) << "flat x=" << x;
-      ASSERT_TRUE(BitEqual(treap.PercentileRank(x), want)) << "treap x=" << x;
-    }
+  std::vector<double> xs = {std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::nan("")};
+  for (double v : sorted) {
+    xs.push_back(v);
+    xs.push_back(std::nextafter(v, 1e308));
+    xs.push_back(std::nextafter(v, -1e308));
+  }
+  for (double x : xs) {
+    ASSERT_TRUE(
+        BitEqual(board.PercentileRank(x), PercentileRankSorted(sorted, x)))
+        << "x=" << x;
+    size_t at_or_above = 0;
+    for (double v : sorted) at_or_above += v >= x ? 1 : 0;
+    ASSERT_TRUE(BitEqual(board.FractionAtOrAbove(x),
+                         static_cast<double>(at_or_above) /
+                             static_cast<double>(n)))
+        << "x=" << x;
   }
 }
 
 class BoardFuzzTest : public ::testing::TestWithParam<ValuePattern> {};
 
-// Phase 1: both raw indexes under reservoir-shaped churn, fed the same op
-// stream. Fill to a boundary B, then hover: each op replaces a random
-// resident value (EraseOne + Insert — the exact call pair
-// PublicBoard::RecordOne issues past capacity), with occasional dips below
-// and bursts above the boundary.
-TEST_P(BoardFuzzTest, ReservoirShapedChurnMatchesSortedOracle) {
+// One board per capacity, rebuilt after Clear() for each stream length:
+// the rebuild restarts the reservoir stream, so each build must match a
+// fresh replica of the same seed.
+TEST_P(BoardFuzzTest, SealedBoardMatchesSortedOracleAcrossReservoirBoundary) {
   const ValuePattern pattern = GetParam();
   SCOPED_TRACE(PatternName(pattern));
-  const int ops = FuzzOps(1200);
-  for (size_t boundary : {1u, 2u, 3u, 8u, 33u}) {
-    SCOPED_TRACE("boundary " + std::to_string(boundary));
-    FlatOrderBoard flat;
-    IndexedBoard treap;
-    std::vector<double> mirror;  // unsorted multiset mirror
-    Rng rng(1000 + boundary);
-    size_t step = 0;
-    for (int op = 0; op < ops; ++op) {
-      double roll = rng.Uniform();
-      if (mirror.size() < boundary ||
-          (roll < 0.15 && mirror.size() < 2 * boundary)) {
-        double v = DrawValue(pattern, step++, &rng);
-        flat.Insert(v);
-        treap.Insert(v);
-        mirror.push_back(v);
-      } else if (roll < 0.85 || mirror.empty()) {
-        // The replacement pair, against a random resident slot.
-        size_t slot = static_cast<size_t>(rng.UniformInt(mirror.size()));
-        ASSERT_TRUE(flat.EraseOne(mirror[slot]));
-        ASSERT_TRUE(treap.EraseOne(mirror[slot]));
-        double v = DrawValue(pattern, step++, &rng);
-        flat.Insert(v);
-        treap.Insert(v);
-        mirror[slot] = v;
-      } else {
-        // Dip below the boundary.
-        size_t slot = static_cast<size_t>(rng.UniformInt(mirror.size()));
-        ASSERT_TRUE(flat.EraseOne(mirror[slot]));
-        ASSERT_TRUE(treap.EraseOne(mirror[slot]));
-        mirror[slot] = mirror.back();
-        mirror.pop_back();
-      }
-      if (op % 37 == 0 || mirror.size() == boundary) {
-        CheckAllOrderStatistics(flat, treap, mirror);
-      }
-    }
-    CheckAllOrderStatistics(flat, treap, mirror);
-  }
-}
-
-// Phase 2: PublicBoard end to end at tiny capacities, one board per
-// backend fed the identical stream from the same reservoir seed, checked
-// after every single record while the stream crosses the boundary — the
-// first replacement, the steady state, and a mid-stream Clear + refill.
-// Identical seeds mean identical reservoir decisions, so the two boards
-// must stay bit-identical in slot order, not just as multisets.
-TEST_P(BoardFuzzTest, PublicBoardAtReservoirBoundaryMatchesSortedOracle) {
-  const ValuePattern pattern = GetParam();
-  SCOPED_TRACE(PatternName(pattern));
-  const int ops = FuzzOps(900);
-  const int clear_at = ops / 2;
-  for (size_t capacity : {1u, 2u, 3u, 7u, 64u}) {
+  const size_t ops = FuzzOps();
+  for (size_t capacity = 0; capacity <= 64; ++capacity) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
     const uint64_t seed = capacity * 31 + 7;
-    PublicBoard flat(capacity, seed, BoardBackend::kFlat);
-    PublicBoard treap(capacity, seed, BoardBackend::kTreap);
+    PublicBoard board(capacity, seed);
     Rng rng(500 + capacity);
     size_t step = 0;
-    for (int op = 0; op < ops; ++op) {
-      if (op == clear_at) {
-        flat.Clear();
-        treap.Clear();
-        EXPECT_EQ(flat.size(), 0u);
+    for (size_t length :
+         {size_t{0}, size_t{1}, capacity, capacity + 1, ops}) {
+      SCOPED_TRACE("length " + std::to_string(length));
+      board.Clear();
+      board.Reserve(length);
+      ReservoirReplica replica(capacity, seed);
+      for (size_t i = 0; i < length; ++i) {
+        double v = DrawValue(pattern, step++, &rng);
+        board.RecordOne(v);
+        replica.RecordOne(v);
       }
-      double v = DrawValue(pattern, step++, &rng);
-      flat.RecordOne(v);
-      treap.RecordOne(v);
-      ASSERT_LE(flat.size(), capacity);
-      ASSERT_EQ(flat.values(), treap.values());  // same reservoir decisions
-      std::vector<double> sorted = flat.values();
-      std::sort(sorted.begin(), sorted.end());
-      double q = rng.Uniform();
-      const double want_q = QuantileSorted(sorted, q);
-      ASSERT_TRUE(BitEqual(flat.Quantile(q).ValueOrDie(), want_q));
-      ASSERT_TRUE(BitEqual(treap.Quantile(q).ValueOrDie(), want_q));
-      ASSERT_TRUE(BitEqual(flat.Quantile(0.0).ValueOrDie(), sorted.front()));
-      ASSERT_TRUE(BitEqual(flat.Quantile(1.0).ValueOrDie(), sorted.back()));
-      double x = sorted[rng.UniformInt(sorted.size())];
-      const double want_x = PercentileRankSorted(sorted, x);
-      ASSERT_TRUE(BitEqual(flat.PercentileRank(x), want_x));
-      ASSERT_TRUE(BitEqual(treap.PercentileRank(x), want_x));
-      ASSERT_TRUE(BitEqual(flat.PercentileRank(x - 0.5),
-                           PercentileRankSorted(sorted, x - 0.5)));
+      board.Seal();
+      EXPECT_EQ(board.total_recorded(), length);
+      if (capacity > 0) ASSERT_LE(board.size(), capacity);
+      CheckSealedBoard(board, replica.Sorted());
     }
-    // The reservoir really did engage: far more arrived than is held.
-    EXPECT_EQ(flat.size(),
-              std::min<size_t>(capacity, static_cast<size_t>(clear_at)));
-    EXPECT_EQ(flat.total_recorded(), static_cast<size_t>(clear_at));
-    EXPECT_EQ(treap.total_recorded(), flat.total_recorded());
+    // The reservoir really did engage on the long stream.
+    if (capacity > 0 && capacity < ops) {
+      EXPECT_EQ(board.size(), capacity);
+    }
   }
 }
 

@@ -13,6 +13,7 @@ PublicBoard MakeUniformBoard(size_t n = 5000, uint64_t seed = 3) {
   PublicBoard board;
   Rng rng(seed);
   for (size_t i = 0; i < n; ++i) board.RecordOne(rng.Uniform());
+  board.Seal();
   return board;
 }
 
@@ -43,6 +44,7 @@ TEST(TailMassQualityTest, PoisonDropsQualityByAttackMass) {
 
 TEST(TailMassQualityTest, EmptyBoardScoresOne) {
   PublicBoard board;
+  board.Seal();
   TailMassQuality quality(0.9);
   const std::vector<double> round = {1.0, 2.0};
   EXPECT_DOUBLE_EQ(quality.Evaluate(round, board), 1.0);

@@ -100,6 +100,7 @@ TEST(ReferencePolicyTest, FittedModelTrimKeepsBudgetedLowestResidualRows) {
   PublicBoard board;
   ASSERT_TRUE(model.BeginRun().ok());
   ASSERT_TRUE(model.Bootstrap(100, &rng, &board).ok());
+  board.Seal();
 
   model.BeginRound(40);
   model.AppendBenignBatch(36, &rng);

@@ -40,10 +40,9 @@ namespace {
 // --------------------------------------------------------------------------
 
 // Replica of the seed PublicBoard: full re-sort on the first query after an
-// invalidating record. Deliberately independent of IndexedBoard so this
-// file checks the refactor end to end. bench/bench_micro_board.cc carries
-// its own copy of this frozen transcription — both are snapshots of the
-// seed code and must never diverge from it (or each other).
+// invalidating record. Deliberately independent of the sealed PublicBoard
+// so this file checks the refactor end to end. It is a snapshot of the
+// seed code and must never diverge from it.
 class LegacySortBoard {
  public:
   explicit LegacySortBoard(size_t capacity, uint64_t seed)
@@ -93,11 +92,12 @@ class LegacySortBoard {
 };
 
 // The seed games evaluated quality against the (new-API) PublicBoard; the
-// evaluators only use Quantile / PercentileRank / values(), so an adapter
+// evaluators only read the board's order statistics, so an adapter
 // board fed the same records produces the same quality scores. To keep the
 // replicas fully seed-faithful we mirror every record into a PublicBoard
 // for the QualityEvaluation interface while all *game* queries go through
-// the legacy sort board.
+// the legacy sort board. The replicas record only during the bootstrap, so
+// the PublicBoard is sealed right after it, as the session does.
 struct MirroredBoards {
   MirroredBoards(size_t capacity, uint64_t seed)
       : legacy(capacity, seed), quality_view(capacity, seed) {}
@@ -105,6 +105,7 @@ struct MirroredBoards {
     legacy.RecordOne(v);
     quality_view.RecordOne(v);
   }
+  void Seal() { quality_view.Seal(); }
   LegacySortBoard legacy;
   PublicBoard quality_view;
 };
@@ -147,6 +148,7 @@ Result<GameSummary> LegacyScalarRun(const GameConfig& config,
   for (size_t i = 0; i < config.bootstrap_size; ++i) {
     board.RecordOne(benign_pool[rng.UniformInt(benign_pool.size())]);
   }
+  board.Seal();
 
   GameSummary summary;
   RoundObservation prev;
@@ -273,6 +275,7 @@ Result<GameSummary> LegacyDistanceRun(const GameConfig& config,
   for (const auto& row : bootstrap) {
     board.RecordOne(position_map.PositionOfRow(row));
   }
+  board.Seal();
 
   GameSummary summary;
   RoundObservation prev;
@@ -408,6 +411,7 @@ Result<LdpRunResult> LegacyLdpRunTrimming(const LdpGameConfig& config,
     double x = population[rng.UniformInt(population.size())];
     board.RecordOne(mechanism.Perturb(x, &rng));
   }
+  board.Seal();
 
   LdpRunResult result;
   result.true_mean = Mean(population);

@@ -4,9 +4,8 @@
 // (session_test, session_property_test, session_fleet_test) compares
 // GameSummarys field by field at the bit level — one comparator here so a
 // new RoundRecord field extends every determinism gate at once.
-// bench/bench_fleet.cc keeps its own gtest-free comparison for the same
-// reason bench_micro_board keeps its own oracle: bench binaries do not
-// link GoogleTest.
+// bench/bench_fleet.cc keeps its own gtest-free comparison because bench
+// binaries do not link GoogleTest.
 #ifndef ITRIM_TESTS_GAME_SUMMARY_TEST_UTIL_H_
 #define ITRIM_TESTS_GAME_SUMMARY_TEST_UTIL_H_
 

@@ -46,8 +46,6 @@ class IngestDeterminismTest : public ::testing::Test {
       spec.game.bootstrap_size = 80;
       spec.game.attack_ratio = 0.1 + 0.05 * static_cast<double>(i % 4);
       spec.game.board_capacity = 2000;
-      spec.game.board_backend =
-          (i % 2) == 0 ? BoardBackend::kFlat : BoardBackend::kTreap;
       switch (spec.model) {
         case TenantModelKind::kScalar:
           spec.scalar_pool = &pool_;

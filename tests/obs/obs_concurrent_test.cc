@@ -84,6 +84,9 @@ TEST(ObsConcurrentTest, ScraperRacesIngestAndTotalsMatchGroundTruth) {
   p0.join();
   p1.join();
   ASSERT_TRUE(service.Flush().ok());
+  // On a loaded machine the scraper thread may not have been scheduled yet;
+  // let it finish one pass against the running service before stopping it.
+  while (scrapes.load() == 0) std::this_thread::yield();
   stop_scraper.store(true, std::memory_order_relaxed);
   scraper.join();
   EXPECT_GE(scrapes.load(), 1u);

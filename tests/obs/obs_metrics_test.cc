@@ -152,8 +152,9 @@ TEST(MetricsRegistryTest, ScrapeIsSafeWhileWritersRecord) {
         snap.merged.histograms[static_cast<int>(Histogram::kPoolTaskUs)];
     uint64_t total = 0;
     for (uint64_t n : h.counts) total += n;
-    // Bucket counts are incremented before the count cell, so the summed
-    // buckets can only run ahead of `count`, never behind.
+    // `count` must never run ahead of the bucket sum it is exported next
+    // to (the Prometheus +Inf line), however a scrape interleaves with
+    // concurrent Observe() calls.
     EXPECT_GE(total, h.count);
   }
   stop.store(true, std::memory_order_relaxed);

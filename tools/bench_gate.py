@@ -41,8 +41,8 @@ Individual cases can gate tighter (or looser) than the run-wide default:
 a baseline case carrying a "gate_tolerance" key (fraction in [0, 1)) uses
 that value instead. The bench binaries never emit this key — it is added
 by hand to the checked-in baseline for cases whose workload is stable
-enough to hold a tighter line (e.g. the board backend microbenches gate
-at 25%), and must be re-added when the baseline is refreshed.
+enough to hold a different line (e.g. a regression-bench case gates at
+60%), and must be re-added when the baseline is refreshed.
 
 Baseline update procedure (see README "Benchmarking & perf telemetry"):
 rerun the bench on the reference machine, eyeball the diff, and copy the
