@@ -194,7 +194,6 @@ int RunDeterminism(IngestFixture* fixture, size_t tenants, int rounds) {
       actual[i] = std::move(records).ValueOrDie();
     }
     const IngestStats stats = service.Stats();
-    const size_t resident_after = fleet.ResidentTenants();
     if (!service.Stop().ok()) return 1;
     std::string diff = FirstDifference(expected, actual);
     if (!diff.empty()) {
@@ -202,12 +201,8 @@ int RunDeterminism(IngestFixture* fixture, size_t tenants, int rounds) {
                    "at %s\n", variant.label, diff.c_str());
       return 1;
     }
-    // Hibernation must have engaged under the resident cap. The counter
-    // lives on the obs slots (zero under ITRIM_OBS=0), so an OFF build
-    // falls back to the behavioral fact: tenants were parked.
-    const bool hibernated =
-        obs::kEnabled ? stats.hibernations > 0 : resident_after < tenants;
-    if (variant.max_resident_per_shard > 0 && !hibernated) {
+    // Hibernation must have engaged under the resident cap.
+    if (variant.max_resident_per_shard > 0 && stats.hibernations == 0) {
       std::fprintf(stderr, "FAIL: resident bound %zu never hibernated\n",
                    variant.max_resident_per_shard);
       return 1;
@@ -229,7 +224,6 @@ struct SustainedResult {
   uint64_t reports = 0;
   uint64_t producer_allocations = 0;
   IngestStats stats;
-  size_t fleet_resident = 0;  ///< fleet's own residency (obs-independent)
   bool ok = false;
 };
 
@@ -303,7 +297,6 @@ SustainedResult RunSustained(IngestFixture* fixture, size_t tenants,
   result.submit_p90_us = Quantile(latencies_us, 0.9);
   result.submit_p99_us = Quantile(latencies_us, 0.99);
   result.stats = service.Stats();
-  result.fleet_resident = fleet.ResidentTenants();
   result.ok = service.Stop().ok();
   return result;
 }
@@ -366,11 +359,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(sustained.producer_allocations),
       static_cast<unsigned long long>(sustained.stats.hibernations),
       sustained.stats.resident_tenants);
-  // Counter under obs; behavioral residency fallback for an ITRIM_OBS=0
-  // build (a quarter-capped resident set proves hibernation engaged).
-  const bool hibernated = obs::kEnabled ? sustained.stats.hibernations > 0
-                                        : sustained.fleet_resident < tenants;
-  if (!hibernated) {
+  if (sustained.stats.hibernations == 0) {
     std::fprintf(stderr, "FAIL: hibernation never engaged during the "
                  "sustained measurement\n");
     return 1;

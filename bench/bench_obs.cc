@@ -13,13 +13,14 @@
 //      warmup; the timed region must perform zero heap allocations — the
 //      same contract tests/game/zero_alloc_test.cc proves, held here under
 //      the bench sizing.
-//   3. Overhead measurement: interleaved OFF/ON repetitions of a sustained
-//      ingest run (OFF = always-on counters only, ON = deep observation:
-//      per-event submit clocks, per-round wall clocks, histograms, trace
-//      records, session sinks). Reports per-arm throughput and the
-//      relative overhead; the full (non-smoke) mode enforces the <=5%
-//      acceptance ceiling in-binary. The CI perf gate holds both arms
-//      against bench/baselines/BENCH_obs.json.
+//   3. Overhead measurement: interleaved OFF/ON repetitions (alternating
+//      which arm runs first) of a sustained ingest run (OFF = always-on
+//      counters only, ON = deep observation: per-event submit clocks,
+//      per-round wall clocks, histograms, trace records, session sinks).
+//      Reports per-arm throughput and the relative overhead; the full
+//      (non-smoke) mode enforces the <=5% acceptance ceiling in-binary.
+//      The CI perf gate holds both arms against
+//      bench/baselines/BENCH_obs.json.
 //   4. Scrape export: the ON arm's final scrape is published as
 //      OBS_scrape.prom (linted by tools/promlint.py in CI) and its
 //      submit/batch/round distributions are attached to the BENCH JSON as
@@ -242,9 +243,8 @@ int RunIdentity(const ObsFixture& fixture, size_t tenants, int rounds,
   }
   const uint64_t total_rounds =
       static_cast<uint64_t>(tenants) * static_cast<uint64_t>(rounds);
-  if (obs::kEnabled &&
-      (on.trace_dropped != 0 || on.trace_starts != total_rounds ||
-       on.trace_ends != total_rounds)) {
+  if (on.trace_dropped != 0 || on.trace_starts != total_rounds ||
+      on.trace_ends != total_rounds) {
     std::fprintf(stderr,
                  "FAIL: trace ring incomplete (%llu starts, %llu ends, "
                  "%llu dropped; want %llu/%llu/0)\n",
@@ -406,7 +406,6 @@ bench::BenchHistogram ToBenchHistogram(const obs::MetricsSnapshot& snap,
   out.bounds.assign(info.bounds.begin(), info.bounds.end());
   const auto& hv = snap.merged.histograms[static_cast<size_t>(h)];
   out.counts = hv.counts;
-  out.counts.resize(info.bounds.size() + 1, 0);  // OFF builds: all zero
   out.sum = hv.sum;
   out.count = hv.count;
   return out;
@@ -422,14 +421,15 @@ int main(int argc, char** argv) {
   const int shards = flags.jobs > 0 ? flags.jobs : 2;
   const size_t tenants = static_cast<size_t>(
       bench::EnvInt("ITRIM_BENCH_TENANTS", smoke ? 120 : 600));
-  const int rounds = bench::EnvInt("ITRIM_BENCH_ROUNDS", smoke ? 3 : 8);
-  const int reps = bench::EnvInt("ITRIM_BENCH_OBS_REPS", smoke ? 1 : 5);
+  // Full-mode arms play 32 rounds per tenant (~150 ms at 2 shards on a
+  // 4-vCPU Xeon); against 8 rounds that cut the interquartile range of the
+  // measured overhead from ~22 to ~6 points there. The even rep count
+  // balances the arm order below.
+  const int rounds = bench::EnvInt("ITRIM_BENCH_ROUNDS", smoke ? 3 : 32);
+  const int reps = bench::EnvInt("ITRIM_BENCH_OBS_REPS", smoke ? 1 : 6);
 
   bench::BenchReporter reporter("obs", flags);
   ObsFixture fixture;
-
-  std::printf("observability compiled %s (ITRIM_OBS=%d)\n",
-              obs::kEnabled ? "in" : "out", obs::kEnabled ? 1 : 0);
 
   if (RunIdentity(fixture, smoke ? 16 : 48, smoke ? 3 : 4, &reporter) != 0) {
     return 1;
@@ -439,12 +439,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Interleaved OFF/ON repetitions; the best (minimum) wall per arm is the
-  // standard noise-floor estimator on shared machines.
+  // Interleaved repetitions; the best (minimum) wall per arm is the
+  // standard noise-floor estimator on shared machines. Odd reps run the ON
+  // arm first: whichever arm runs second in a pair measured ~2% slower, so
+  // a fixed OFF-then-ON order would charge that to observability.
   ArmResult best_off, best_on;
   for (int rep = 0; rep < reps; ++rep) {
-    ArmResult off = RunOverheadArm(fixture, tenants, rounds, shards, false);
-    ArmResult on = RunOverheadArm(fixture, tenants, rounds, shards, true);
+    ArmResult off, on;
+    if (rep % 2 == 0) {
+      off = RunOverheadArm(fixture, tenants, rounds, shards, false);
+      on = RunOverheadArm(fixture, tenants, rounds, shards, true);
+    } else {
+      on = RunOverheadArm(fixture, tenants, rounds, shards, true);
+      off = RunOverheadArm(fixture, tenants, rounds, shards, false);
+    }
     if (!off.ok || !on.ok) {
       std::fprintf(stderr, "FAIL: overhead arm did not complete\n");
       return 1;

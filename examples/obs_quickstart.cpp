@@ -4,9 +4,7 @@
 // and fleets record into preallocated metric slots and a fixed-capacity
 // trace ring, and a scraper merges those atomics into a snapshot whenever it
 // likes. Nothing here reads back into the game — the instrumented run below
-// produces the same bytes it would produce with no sinks attached (and the
-// whole layer compiles out under -DITRIM_OBS=OFF; this program still builds
-// and runs there, it just scrapes zeros).
+// produces the same bytes it would produce with no sinks attached.
 //
 // Here: an 8-tenant scalar fleet with a fleet-level slot, one shared
 // session-level slot, and a trace ring attached; a ScrapeSampler polling in

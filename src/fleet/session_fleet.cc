@@ -209,7 +209,7 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
         "unavailable (re-Bootstrap() to return to lockstep)");
   }
   const int64_t obs_t0 =
-      (obs::kEnabled && obs_slot_ != nullptr) ? obs::MonotonicNowNs() : 0;
+      obs_slot_ != nullptr ? obs::MonotonicNowNs() : 0;
   const size_t n = tenants_.size();
   step_records_.resize(n);
   step_statuses_.resize(n);
@@ -248,25 +248,23 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
   FleetRoundAggregate aggregate = ReduceRound(next_round_, step_records_);
   round_aggregates_.push_back(aggregate);
   ++next_round_;
-  if constexpr (obs::kEnabled) {
-    if (obs_slot_ != nullptr) {
-      obs::MetricSlot& m = *obs_slot_;
-      m.Observe(obs::Histogram::kFleetRoundWallUs,
-                static_cast<double>(obs::MonotonicNowNs() - obs_t0) / 1000.0);
-      m.Set(obs::Gauge::kFleetRound, static_cast<double>(aggregate.round));
-      m.Set(obs::Gauge::kFleetTrimRateP10, aggregate.tenant_trim_rate.p10);
-      m.Set(obs::Gauge::kFleetTrimRateP50, aggregate.tenant_trim_rate.p50);
-      m.Set(obs::Gauge::kFleetTrimRateP90, aggregate.tenant_trim_rate.p90);
-      m.Set(obs::Gauge::kFleetPoisonAcceptP10,
-            aggregate.tenant_poison_acceptance.p10);
-      m.Set(obs::Gauge::kFleetPoisonAcceptP50,
-            aggregate.tenant_poison_acceptance.p50);
-      m.Set(obs::Gauge::kFleetPoisonAcceptP90,
-            aggregate.tenant_poison_acceptance.p90);
-      m.Set(obs::Gauge::kFleetQualityP10, aggregate.tenant_quality.p10);
-      m.Set(obs::Gauge::kFleetQualityP50, aggregate.tenant_quality.p50);
-      m.Set(obs::Gauge::kFleetQualityP90, aggregate.tenant_quality.p90);
-    }
+  if (obs_slot_ != nullptr) {
+    obs::MetricSlot& m = *obs_slot_;
+    m.Observe(obs::Histogram::kFleetRoundWallUs,
+              static_cast<double>(obs::MonotonicNowNs() - obs_t0) / 1000.0);
+    m.Set(obs::Gauge::kFleetRound, static_cast<double>(aggregate.round));
+    m.Set(obs::Gauge::kFleetTrimRateP10, aggregate.tenant_trim_rate.p10);
+    m.Set(obs::Gauge::kFleetTrimRateP50, aggregate.tenant_trim_rate.p50);
+    m.Set(obs::Gauge::kFleetTrimRateP90, aggregate.tenant_trim_rate.p90);
+    m.Set(obs::Gauge::kFleetPoisonAcceptP10,
+          aggregate.tenant_poison_acceptance.p10);
+    m.Set(obs::Gauge::kFleetPoisonAcceptP50,
+          aggregate.tenant_poison_acceptance.p50);
+    m.Set(obs::Gauge::kFleetPoisonAcceptP90,
+          aggregate.tenant_poison_acceptance.p90);
+    m.Set(obs::Gauge::kFleetQualityP10, aggregate.tenant_quality.p10);
+    m.Set(obs::Gauge::kFleetQualityP50, aggregate.tenant_quality.p50);
+    m.Set(obs::Gauge::kFleetQualityP90, aggregate.tenant_quality.p90);
   }
   return aggregate;
 }

@@ -249,11 +249,9 @@ Result<RoundRecord> TrimmingSession::Step() {
     return Status::FailedPrecondition("session is not bootstrapped");
   }
   const int round = next_round_;
-  if constexpr (obs::kEnabled) {
-    if (obs_.trace != nullptr) {
-      obs_.trace->Record(obs::TraceKind::kRoundStart, obs_.tenant,
-                         static_cast<double>(round));
-    }
+  if (obs_.trace != nullptr) {
+    obs_.trace->Record(obs::TraceKind::kRoundStart, obs_.tenant,
+                       static_cast<double>(round));
   }
   const size_t poison_count = model_->PoisonCount(config_, &poison_quota_);
 
@@ -339,10 +337,8 @@ Result<RoundRecord> TrimmingSession::Step() {
   }
   model_->Commit(outcome.keep);
   records_.Append(record);
-  if constexpr (obs::kEnabled) {
-    if (obs_.metrics != nullptr || obs_.trace != nullptr) {
-      RecordRoundObservability(record, outcome.removed_count, used_reference);
-    }
+  if (obs_.metrics != nullptr || obs_.trace != nullptr) {
+    RecordRoundObservability(record, outcome.removed_count, used_reference);
   }
 
   prev_ = ObservationFromRecord(record);

@@ -71,11 +71,17 @@ Status IngestConfig::Validate() const {
   if (batch_max == 0) {
     return Status::InvalidArgument("batch_max must be >= 1");
   }
-  if (rate_limit_per_sec < 0.0) {
+  // Negated so NaN fails too: a NaN rate would disable limiting and a NaN
+  // burst would fall back to the default.
+  if (!(rate_limit_per_sec >= 0.0)) {
     return Status::InvalidArgument("rate_limit_per_sec must be >= 0");
   }
-  if (rate_limit_burst < 0.0) {
+  if (!(rate_limit_burst >= 0.0)) {
     return Status::InvalidArgument("rate_limit_burst must be >= 0");
+  }
+  if (trace_capacity > obs::kMaxTraceCapacity) {
+    return Status::InvalidArgument("trace_capacity must be <= " +
+                                   std::to_string(obs::kMaxTraceCapacity));
   }
   return Status::OK();
 }
@@ -164,7 +170,7 @@ Status IngestService::Start() {
   }
   // Deep telemetry: every session reports into its home shard's slot and
   // trace ring (persisted on the Tenant, so hibernation keeps the sinks).
-  if (obs::kEnabled && config_.observe_rounds) {
+  if (config_.observe_rounds) {
     for (const auto& shard : shards_) {
       for (uint64_t id : shard->owned) {
         SessionObs sinks;
@@ -199,7 +205,7 @@ Status IngestService::Admit(const IngestEvent& event, bool blocking) {
                                    std::to_string(event.tenant_id));
   }
   Shard& shard = *shards_[ShardOf(event.tenant_id)];
-  const bool deep = obs::kEnabled && config_.observe_rounds;
+  const bool deep = config_.observe_rounds;
   const bool timed =
       deep && submit_tick_.fetch_add(1, std::memory_order_relaxed) %
                       kSubmitSampleEvery ==
@@ -255,7 +261,7 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
                               TenantLane& lane) {
   const size_t i = static_cast<size_t>(tenant_id);
   const uint32_t round_size = static_cast<uint32_t>(lane.round_size);
-  const bool deep = obs::kEnabled && config_.observe_rounds;
+  const bool deep = config_.observe_rounds;
   while (lane.pending >= round_size) {
     if (!fleet_->TenantResident(i)) {
       Status status = fleet_->RehydrateTenant(i);

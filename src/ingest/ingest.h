@@ -88,7 +88,7 @@ struct IngestConfig {
   /// Must outlive the service.
   obs::MetricsRegistry* metrics = nullptr;
   /// Per-shard game-event trace ring capacity in events (rounded up to a
-  /// power of two); 0 disables tracing.
+  /// power of two, at most obs::kMaxTraceCapacity); 0 disables tracing.
   size_t trace_capacity = 0;
   /// Deep telemetry: wires per-tenant session sinks (round/trim/refit
   /// counters and trace events land on the owning shard's slot/ring) and
@@ -102,10 +102,7 @@ struct IngestConfig {
 
 /// \brief Monotonic service counters (all since construction; they
 /// accumulate across Start/Stop cycles). The counters live on the
-/// service's obs metric slots, so an ITRIM_OBS=0 build reports zeros for
-/// everything except `resident_tenants` — which is then the residency at
-/// the last Start() (hibernation churn is only visible through the
-/// counters). The ingestion behavior itself is identical either way.
+/// service's obs metric slots.
 struct IngestStats {
   uint64_t events_accepted = 0;   ///< events enqueued (Submit + TrySubmit)
   uint64_t events_rejected = 0;   ///< bad tenant id / full TrySubmit / closed
@@ -186,7 +183,7 @@ class IngestService {
   obs::MetricsSnapshot Scrape() const;
 
   /// \brief Snapshot of the per-shard trace rings, merged and sorted by
-  /// timestamp. Empty when trace_capacity == 0 or under ITRIM_OBS=0.
+  /// timestamp. Empty when trace_capacity == 0.
   std::vector<obs::TraceEvent> TraceSnapshot() const;
 
   /// \brief Trace events lost to ring wraparound, summed over shards.

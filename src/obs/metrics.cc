@@ -110,7 +110,6 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
   snap.slots.reserve(slots_.size());
   for (const auto& slot : slots_) {
     SlotValues values = ReadSlot(*slot);
-#if ITRIM_OBS
     for (int h = 0; h < kNumHistograms; ++h) {
       const auto& cells = slot->histograms_[h];
       HistogramValue& hv = values.histograms[h];
@@ -123,7 +122,6 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
       }
       hv.sum = cells.sum.load(std::memory_order_relaxed);
     }
-#endif
     for (int c = 0; c < kNumCounters; ++c) {
       snap.merged.counters[c] += values.counters[c];
     }

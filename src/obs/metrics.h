@@ -11,10 +11,8 @@
 //   - Observability never perturbs computation or RNG, so every bit-identity
 //     invariant (thread counts, kernel variants, checkpoint, hibernation)
 //     holds with recording on or off. Enforced by bench_obs.
-//   - The whole layer compiles out behind ITRIM_OBS=0 (CMake -DITRIM_OBS=OFF):
-//     recording methods become empty inlines and the atomic storage vanishes;
-//     call sites additionally guard with `if constexpr (obs::kEnabled)` so a
-//     disabled build carries not even the null checks.
+//   - The layer is always compiled. Telemetry is turned off at run time by
+//     attaching no slot (call sites null-check their sinks).
 //
 // Registration (MetricsRegistry::AddSlot) and Scrape() are setup/control-plane
 // operations: they take a mutex and may allocate, and are safe to run
@@ -32,13 +30,7 @@
 #include <utility>
 #include <vector>
 
-#ifndef ITRIM_OBS
-#define ITRIM_OBS 1
-#endif
-
 namespace itrim::obs {
-
-inline constexpr bool kEnabled = (ITRIM_OBS != 0);
 
 // ---------------------------------------------------------------------------
 // Catalog. X-macros keep the enum, the Prometheus name and the help string in
@@ -185,25 +177,14 @@ const HistogramInfo& MetaOf(Histogram h);
 class MetricSlot {
  public:
   void Inc(Counter c, uint64_t n = 1) {
-#if ITRIM_OBS
     counters_[static_cast<int>(c)].fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)c;
-    (void)n;
-#endif
   }
 
   void Set(Gauge g, double v) {
-#if ITRIM_OBS
     gauges_[static_cast<int>(g)].store(v, std::memory_order_relaxed);
-#else
-    (void)g;
-    (void)v;
-#endif
   }
 
   void Observe(Histogram h, double v) {
-#if ITRIM_OBS
     const HistogramInfo& info = MetaOf(h);
     int bucket = 0;
     const int n = static_cast<int>(info.bounds.size());
@@ -213,28 +194,14 @@ class MetricSlot {
     // fetch_add on atomic<double> (C++20); libstdc++/libc++ lower it to a CAS
     // loop, which is still lock-free and allocation-free.
     cells.sum.fetch_add(v, std::memory_order_relaxed);
-#else
-    (void)h;
-    (void)v;
-#endif
   }
 
   uint64_t Get(Counter c) const {
-#if ITRIM_OBS
     return counters_[static_cast<int>(c)].load(std::memory_order_relaxed);
-#else
-    (void)c;
-    return 0;
-#endif
   }
 
   double Get(Gauge g) const {
-#if ITRIM_OBS
     return gauges_[static_cast<int>(g)].load(std::memory_order_relaxed);
-#else
-    (void)g;
-    return 0.0;
-#endif
   }
 
   const std::string& label() const { return label_; }
@@ -244,7 +211,6 @@ class MetricSlot {
   explicit MetricSlot(std::string label) : label_(std::move(label)) {}
 
   std::string label_;
-#if ITRIM_OBS
   struct HistogramCells {
     std::array<std::atomic<uint64_t>, kMaxBuckets + 1> counts{};
     std::atomic<double> sum{0.0};
@@ -252,7 +218,6 @@ class MetricSlot {
   std::array<std::atomic<uint64_t>, kNumCounters> counters_{};
   std::array<std::atomic<double>, kNumGauges> gauges_{};
   std::array<HistogramCells, kNumHistograms> histograms_{};
-#endif
 };
 
 // ---------------------------------------------------------------------------

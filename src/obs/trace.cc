@@ -1,5 +1,8 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace itrim::obs {
 
 const char* TraceKindName(TraceKind kind) {
@@ -26,18 +29,8 @@ const char* TraceKindName(TraceKind kind) {
   return "unknown";
 }
 
-namespace {
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
-
-#if ITRIM_OBS
-
 TraceBuffer::TraceBuffer(size_t capacity) {
-  capacity_ = RoundUpPow2(capacity == 0 ? 1 : capacity);
+  capacity_ = std::bit_ceil(std::clamp<size_t>(capacity, 1, kMaxTraceCapacity));
   slots_ = std::vector<Slot>(capacity_);
   mask_ = capacity_ - 1;
 }
@@ -67,17 +60,5 @@ void TraceBuffer::Snapshot(std::vector<TraceEvent>* out) const {
     out->push_back(ev);
   }
 }
-
-#else  // !ITRIM_OBS
-
-TraceBuffer::TraceBuffer(size_t capacity) {
-  capacity_ = RoundUpPow2(capacity == 0 ? 1 : capacity);
-}
-
-void TraceBuffer::Snapshot(std::vector<TraceEvent>* out) const {
-  out->clear();
-}
-
-#endif  // ITRIM_OBS
 
 }  // namespace itrim::obs

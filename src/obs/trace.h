@@ -7,8 +7,7 @@
 // published event or skips the slot.
 //
 // When the ring wraps, the oldest events are overwritten; `dropped()` counts
-// them so exporters can say "showing last N of M". Like the metric slots,
-// everything compiles out behind ITRIM_OBS=0.
+// them so exporters can say "showing last N of M".
 #ifndef ITRIM_OBS_TRACE_H_
 #define ITRIM_OBS_TRACE_H_
 
@@ -18,7 +17,7 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/metrics.h"  // ITRIM_OBS, MonotonicNowNs
+#include "obs/metrics.h"  // MonotonicNowNs
 
 namespace itrim::obs {
 
@@ -53,22 +52,20 @@ struct TraceEvent {
   double value = 0.0;   // kind-specific datum (see above)
 };
 
+// Largest ring a TraceBuffer allocates: 1M events, 32 MiB. Larger requests
+// are clamped here and rejected by IngestConfig::Validate.
+inline constexpr size_t kMaxTraceCapacity = size_t{1} << 20;
+
 class TraceBuffer {
  public:
-  // Capacity is rounded up to a power of two; 0 keeps it at the 1-slot
-  // minimum (callers gate tracing by not constructing/attaching a buffer).
+  // Capacity is clamped to [1, kMaxTraceCapacity] and rounded up to a power
+  // of two (callers gate tracing by not constructing/attaching a buffer).
   explicit TraceBuffer(size_t capacity);
 
   // Hot path. Multi-writer safe: slots are claimed with one fetch_add; a
   // reader racing a rewrite of the same slot discards it via the seq stamp.
   void Record(TraceKind kind, uint64_t tenant, double value) {
-#if ITRIM_OBS
     RecordAt(MonotonicNowNs(), kind, tenant, value);
-#else
-    (void)kind;
-    (void)tenant;
-    (void)value;
-#endif
   }
 
   // Timestamp-passing variant: callers that already hold a clock reading
@@ -76,7 +73,6 @@ class TraceBuffer {
   // a wall-time histogram) reuse it instead of paying a second clock read.
   void RecordAt(int64_t ts_ns, TraceKind kind, uint64_t tenant,
                 double value) {
-#if ITRIM_OBS
     const uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[seq & mask_];
     slot.seq.store(kDirty, std::memory_order_relaxed);
@@ -84,12 +80,6 @@ class TraceBuffer {
     slot.meta.store(PackMeta(kind, tenant), std::memory_order_relaxed);
     slot.value_bits.store(BitsOf(value), std::memory_order_relaxed);
     slot.seq.store(seq, std::memory_order_release);
-#else
-    (void)ts_ns;
-    (void)kind;
-    (void)tenant;
-    (void)value;
-#endif
   }
 
   // Copies the currently valid window (oldest retained .. newest) into *out
@@ -100,11 +90,7 @@ class TraceBuffer {
 
   // Total events ever recorded / overwritten-before-read capacity loss.
   uint64_t recorded() const {
-#if ITRIM_OBS
     return head_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
   }
   uint64_t dropped() const {
     const uint64_t n = recorded();
@@ -125,7 +111,6 @@ class TraceBuffer {
     return bits;
   }
 
-#if ITRIM_OBS
   struct Slot {
     std::atomic<uint64_t> seq{kDirty};
     std::atomic<int64_t> ts_ns{0};
@@ -135,7 +120,6 @@ class TraceBuffer {
   std::vector<Slot> slots_;
   std::atomic<uint64_t> head_{0};
   uint64_t mask_ = 0;
-#endif
   size_t capacity_ = 0;
 };
 

@@ -171,12 +171,10 @@ TEST(ZeroAllocTest, InstrumentedSessionSteadyStateStepIsAllocationFree) {
   ASSERT_TRUE(session.Bootstrap().ok());
   AllocationsOver(&session, kWarmupRounds);
   EXPECT_EQ(AllocationsOver(&session, kMeasuredRounds), 0u);
-  if constexpr (obs::kEnabled) {
-    // The recording actually happened — this arm must not pass vacuously.
-    EXPECT_EQ(slot->Get(obs::Counter::kSessionRoundsPlayed),
-              static_cast<uint64_t>(kWarmupRounds + kMeasuredRounds));
-    EXPECT_GT(trace.recorded(), 0u);
-  }
+  // The recording actually happened — this arm must not pass vacuously.
+  EXPECT_EQ(slot->Get(obs::Counter::kSessionRoundsPlayed),
+            static_cast<uint64_t>(kWarmupRounds + kMeasuredRounds));
+  EXPECT_GT(trace.recorded(), 0u);
 }
 
 // Fleet arm of the instrumented proof: round wall-time histogram and the
@@ -218,12 +216,10 @@ TEST(ZeroAllocTest, InstrumentedSerialFleetStepRoundIsAllocationFree) {
     ASSERT_TRUE(fleet.StepRound().ok());
   }
   EXPECT_EQ((bench::ThreadAllocCounts() - before).allocations, 0u);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(fleet_slot->Get(obs::Counter::kSessionRoundsPlayed),
-              static_cast<uint64_t>(6 * (kWarmupRounds + kMeasuredRounds)));
-    EXPECT_EQ(fleet_slot->Get(obs::Gauge::kFleetRound),
-              static_cast<double>(kWarmupRounds + kMeasuredRounds));
-  }
+  EXPECT_EQ(fleet_slot->Get(obs::Counter::kSessionRoundsPlayed),
+            static_cast<uint64_t>(6 * (kWarmupRounds + kMeasuredRounds)));
+  EXPECT_EQ(fleet_slot->Get(obs::Gauge::kFleetRound),
+            static_cast<double>(kWarmupRounds + kMeasuredRounds));
 }
 
 // The retaining mode is *expected* to allocate (that is what an append-only

@@ -211,11 +211,9 @@ TEST_F(IngestDeterminismTest, HibernationChurnIsBitIdentical) {
     }
     ASSERT_TRUE(service.Flush().ok());
 
-    if (obs::kEnabled) {  // churn counters live on the obs slots
-      IngestStats stats = service.Stats();
-      EXPECT_GT(stats.hibernations, 0u);
-      EXPECT_GT(stats.rehydrations, 0u);
-    }
+    IngestStats stats = service.Stats();
+    EXPECT_GT(stats.hibernations, 0u);
+    EXPECT_GT(stats.rehydrations, 0u);
     ExpectBooksBitIdentical(expected, fleet);
     ASSERT_TRUE(service.Stop().ok());
   }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -161,24 +163,38 @@ TEST_F(IngestServiceTest, ValidatesConfigAndLifecycle) {
   bad = IngestConfig{};
   bad.rate_limit_per_sec = -1.0;
   EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
+  // NaN compares false against every bound; it must still be rejected.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = IngestConfig{};
+  bad.rate_limit_per_sec = nan;
+  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
+  bad = IngestConfig{};
+  bad.rate_limit_burst = nan;
+  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
+  bad = IngestConfig{};
+  bad.trace_capacity = obs::kMaxTraceCapacity;
+  EXPECT_TRUE(bad.Validate().ok());
+  bad.trace_capacity = obs::kMaxTraceCapacity + 1;
+  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
+  bad.trace_capacity = SIZE_MAX;
+  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
 
   // Start requires a bootstrapped fleet; Submit requires Start.
   IngestService service(IngestConfig{}, &fleet);
   EXPECT_EQ(service.Submit({0, 1}).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(service.Start().code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(fleet.Bootstrap().ok());
+  // An oversized trace ring fails Start() before any ring is allocated.
+  IngestService oversized(bad, &fleet);
+  EXPECT_EQ(oversized.Start().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(service.Start().ok());
   EXPECT_EQ(service.Start().code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(fleet.per_tenant_mode());
 
-  // Bad events are rejected at the door. The counters live on the obs
-  // metric slots, so an ITRIM_OBS=0 build reports zeros (the rejections
-  // themselves — the statuses above — happen either way).
+  // Bad events are rejected at the door and counted.
   EXPECT_EQ(service.Submit({99, 1}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(service.Submit({0, 0}).code(), StatusCode::kInvalidArgument);
-  if (obs::kEnabled) {
-    EXPECT_EQ(service.Stats().events_rejected, 3u);  // incl. pre-Start submit
-  }
+  EXPECT_EQ(service.Stats().events_rejected, 3u);  // incl. pre-Start submit
 
   EXPECT_TRUE(service.Stop().ok());
   EXPECT_TRUE(service.Stop().ok());  // idempotent
@@ -217,13 +233,11 @@ TEST_F(IngestServiceTest, CoalescesReportsIntoRounds) {
   EXPECT_EQ(fleet.TenantRounds(1).ValueOrDie().size(), 1u);
   EXPECT_EQ(fleet.TenantRounds(2).ValueOrDie().size(), 0u);
 
-  if (obs::kEnabled) {
-    IngestStats stats = service.Stats();
-    EXPECT_EQ(stats.events_accepted, 44u);
-    EXPECT_EQ(stats.reports_enqueued, 25u + 25u + 30u + 40u + 39u);
-    EXPECT_EQ(stats.rounds_played, 3u);
-    EXPECT_EQ(stats.reports_rate_limited, 0u);
-  }
+  IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.events_accepted, 44u);
+  EXPECT_EQ(stats.reports_enqueued, 25u + 25u + 30u + 40u + 39u);
+  EXPECT_EQ(stats.rounds_played, 3u);
+  EXPECT_EQ(stats.reports_rate_limited, 0u);
   EXPECT_TRUE(service.Stop().ok());
 }
 
@@ -250,11 +264,9 @@ TEST_F(IngestServiceTest, TokenBucketLimitsPerTenantAdmission) {
 
   EXPECT_EQ(fleet.TenantRounds(0).ValueOrDie().size(), 1u);
   EXPECT_EQ(fleet.TenantRounds(1).ValueOrDie().size(), 1u);
-  if (obs::kEnabled) {
-    IngestStats stats = service.Stats();
-    EXPECT_EQ(stats.reports_rate_limited, 80u);
-    EXPECT_EQ(stats.rounds_played, 2u);
-  }
+  IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.reports_rate_limited, 80u);
+  EXPECT_EQ(stats.rounds_played, 2u);
   EXPECT_TRUE(service.Stop().ok());
 }
 
@@ -276,25 +288,21 @@ TEST_F(IngestServiceTest, HibernationBoundsTheResidentSet) {
   ASSERT_TRUE(service.Flush().ok());
 
   // The fleet's residency is the behavioral fact; the Stats() view of it
-  // rides the obs hibernation counters, so it only agrees when obs is on.
+  // rides the obs hibernation counters and must agree.
   EXPECT_LE(fleet.ResidentTenants(), 2u);
-  if (obs::kEnabled) {
-    IngestStats stats = service.Stats();
-    EXPECT_LE(stats.resident_tenants, 2u);
-    EXPECT_GE(stats.hibernations, 4u);
-    EXPECT_EQ(stats.rounds_played, 6u);
-    EXPECT_EQ(fleet.ResidentTenants(), stats.resident_tenants);
-  }
+  IngestStats stats = service.Stats();
+  EXPECT_LE(stats.resident_tenants, 2u);
+  EXPECT_GE(stats.hibernations, 4u);
+  EXPECT_EQ(stats.rounds_played, 6u);
+  EXPECT_EQ(fleet.ResidentTenants(), stats.resident_tenants);
 
   // Traffic for a hibernated tenant rehydrates it transparently.
   const uint64_t parked = 0;
   ASSERT_FALSE(fleet.TenantResident(parked));
   ASSERT_TRUE(service.Submit({parked, 40}).ok());
   ASSERT_TRUE(service.Flush().ok());
-  if (obs::kEnabled) {
-    EXPECT_GE(service.Stats().rehydrations, 1u);
-    EXPECT_LE(service.Stats().resident_tenants, 2u);
-  }
+  EXPECT_GE(service.Stats().rehydrations, 1u);
+  EXPECT_LE(service.Stats().resident_tenants, 2u);
   EXPECT_EQ(fleet.TenantRounds(parked).ValueOrDie().size(), 2u);
   EXPECT_LE(fleet.ResidentTenants(), 2u);
   EXPECT_TRUE(service.Stop().ok());

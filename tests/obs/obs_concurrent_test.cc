@@ -103,39 +103,37 @@ TEST(ObsConcurrentTest, ScraperRacesIngestAndTotalsMatchGroundTruth) {
   const auto counter = [&](obs::Counter c) {
     return snap.merged.counters[static_cast<int>(c)];
   };
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(stats.events_accepted, kEvents);
-    EXPECT_EQ(stats.reports_enqueued, kReports);
-    EXPECT_EQ(stats.rounds_played, kRounds);
-    EXPECT_EQ(counter(obs::Counter::kIngestEventsAccepted), kEvents);
-    EXPECT_EQ(counter(obs::Counter::kIngestReportsEnqueued), kReports);
-    EXPECT_EQ(counter(obs::Counter::kIngestRoundsPlayed), kRounds);
-    // Session instrumentation agrees with the ingest view.
-    EXPECT_EQ(counter(obs::Counter::kSessionRoundsPlayed), kRounds);
-    EXPECT_EQ(counter(obs::Counter::kSessionBenignReceived) +
-                  counter(obs::Counter::kSessionPoisonReceived),
-              counter(obs::Counter::kSessionBenignKept) +
-                  counter(obs::Counter::kSessionPoisonKept) +
-                  counter(obs::Counter::kSessionObservationsTrimmed));
-    // Queue depth gauge reads zero after Flush+Stop.
-    EXPECT_EQ(snap.merged.gauges[static_cast<int>(
-                  obs::Gauge::kIngestQueueDepth)],
-              0.0);
-    // Every played round left a start/end trace pair.
-    std::vector<obs::TraceEvent> traces = service.TraceSnapshot();
-    uint64_t starts = 0;
-    uint64_t ends = 0;
-    int64_t prev_ts = 0;
-    for (const obs::TraceEvent& ev : traces) {
-      EXPECT_GE(ev.ts_ns, prev_ts);  // merged snapshot is time-sorted
-      prev_ts = ev.ts_ns;
-      if (ev.kind == obs::TraceKind::kRoundStart) ++starts;
-      if (ev.kind == obs::TraceKind::kRoundEnd) ++ends;
-    }
-    EXPECT_EQ(service.TraceDropped(), 0u);
-    EXPECT_EQ(starts, kRounds);
-    EXPECT_EQ(ends, kRounds);
+  EXPECT_EQ(stats.events_accepted, kEvents);
+  EXPECT_EQ(stats.reports_enqueued, kReports);
+  EXPECT_EQ(stats.rounds_played, kRounds);
+  EXPECT_EQ(counter(obs::Counter::kIngestEventsAccepted), kEvents);
+  EXPECT_EQ(counter(obs::Counter::kIngestReportsEnqueued), kReports);
+  EXPECT_EQ(counter(obs::Counter::kIngestRoundsPlayed), kRounds);
+  // Session instrumentation agrees with the ingest view.
+  EXPECT_EQ(counter(obs::Counter::kSessionRoundsPlayed), kRounds);
+  EXPECT_EQ(counter(obs::Counter::kSessionBenignReceived) +
+                counter(obs::Counter::kSessionPoisonReceived),
+            counter(obs::Counter::kSessionBenignKept) +
+                counter(obs::Counter::kSessionPoisonKept) +
+                counter(obs::Counter::kSessionObservationsTrimmed));
+  // Queue depth gauge reads zero after Flush+Stop.
+  EXPECT_EQ(snap.merged.gauges[static_cast<int>(
+                obs::Gauge::kIngestQueueDepth)],
+            0.0);
+  // Every played round left a start/end trace pair.
+  std::vector<obs::TraceEvent> traces = service.TraceSnapshot();
+  uint64_t starts = 0;
+  uint64_t ends = 0;
+  int64_t prev_ts = 0;
+  for (const obs::TraceEvent& ev : traces) {
+    EXPECT_GE(ev.ts_ns, prev_ts);  // merged snapshot is time-sorted
+    prev_ts = ev.ts_ns;
+    if (ev.kind == obs::TraceKind::kRoundStart) ++starts;
+    if (ev.kind == obs::TraceKind::kRoundEnd) ++ends;
   }
+  EXPECT_EQ(service.TraceDropped(), 0u);
+  EXPECT_EQ(starts, kRounds);
+  EXPECT_EQ(ends, kRounds);
 
   // Bit-identity: the instrumented, scraped, traced run produced exactly
   // the records of a bare solo replay (observability is write-only).
@@ -187,28 +185,26 @@ TEST(ObsConcurrentTest, HibernationChurnKeepsSinksAndCounters) {
   }
   ASSERT_TRUE(service.Stop().ok());
 
-  if constexpr (obs::kEnabled) {
-    IngestStats stats = service.Stats();
-    EXPECT_GT(stats.hibernations, 0u);
-    EXPECT_GT(stats.rehydrations, 0u);
-    EXPECT_GE(stats.hibernations, stats.rehydrations);
-    EXPECT_LE(stats.resident_tenants, 2u);
-    // Sinks survive hibernation: every round of every tenant was counted,
-    // including rounds played by rehydrated sessions.
-    obs::MetricsSnapshot snap = service.Scrape();
-    EXPECT_EQ(snap.merged.counters[static_cast<int>(
-                  obs::Counter::kSessionRoundsPlayed)],
-              static_cast<uint64_t>(3 * kTenants));
-    // Hibernate/rehydrate transitions were traced.
-    uint64_t hib = 0;
-    uint64_t rehyd = 0;
-    for (const obs::TraceEvent& ev : service.TraceSnapshot()) {
-      if (ev.kind == obs::TraceKind::kHibernate) ++hib;
-      if (ev.kind == obs::TraceKind::kRehydrate) ++rehyd;
-    }
-    EXPECT_EQ(hib, stats.hibernations);
-    EXPECT_EQ(rehyd, stats.rehydrations);
+  IngestStats stats = service.Stats();
+  EXPECT_GT(stats.hibernations, 0u);
+  EXPECT_GT(stats.rehydrations, 0u);
+  EXPECT_GE(stats.hibernations, stats.rehydrations);
+  EXPECT_LE(stats.resident_tenants, 2u);
+  // Sinks survive hibernation: every round of every tenant was counted,
+  // including rounds played by rehydrated sessions.
+  obs::MetricsSnapshot snap = service.Scrape();
+  EXPECT_EQ(snap.merged.counters[static_cast<int>(
+                obs::Counter::kSessionRoundsPlayed)],
+            static_cast<uint64_t>(3 * kTenants));
+  // Hibernate/rehydrate transitions were traced.
+  uint64_t hib = 0;
+  uint64_t rehyd = 0;
+  for (const obs::TraceEvent& ev : service.TraceSnapshot()) {
+    if (ev.kind == obs::TraceKind::kHibernate) ++hib;
+    if (ev.kind == obs::TraceKind::kRehydrate) ++rehyd;
   }
+  EXPECT_EQ(hib, stats.hibernations);
+  EXPECT_EQ(rehyd, stats.rehydrations);
 }
 
 TEST(ObsConcurrentTest, RegistryInjectionSharesOneScrapeSurface) {
@@ -237,16 +233,14 @@ TEST(ObsConcurrentTest, RegistryInjectionSharesOneScrapeSurface) {
   EXPECT_EQ(snap.slots[0].label, "fleet");
   EXPECT_EQ(snap.slots[1].label, "ingest");
   EXPECT_EQ(snap.slots[2].label, "shard0");
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(snap.merged.counters[static_cast<int>(
-                  obs::Counter::kIngestRoundsPlayed)],
-              1u);
-    bool saw_kernel = false;
-    for (const auto& [key, value] : snap.info) {
-      if (key == "kernel") saw_kernel = true;
-    }
-    EXPECT_TRUE(saw_kernel);
+  EXPECT_EQ(snap.merged.counters[static_cast<int>(
+                obs::Counter::kIngestRoundsPlayed)],
+            1u);
+  bool saw_kernel = false;
+  for (const auto& [key, value] : snap.info) {
+    if (key == "kernel") saw_kernel = true;
   }
+  EXPECT_TRUE(saw_kernel);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ MetricsSnapshot SampleSnapshot() {
   a->Observe(Histogram::kIngestPopBatchSize, 1.0);
   a->Observe(Histogram::kIngestPopBatchSize, 100.0);
   registry.SetInfo("kernel", "generic");
-  registry.SetInfo("board", "flat");
+  registry.SetInfo("shards", "2");
   return registry.Scrape();
 }
 
@@ -42,12 +42,10 @@ TEST(PrometheusTextTest, EmitsWellFormedFamilies) {
   EXPECT_TRUE(Contains(text, "# HELP itrim_ingest_events_accepted_total"));
   EXPECT_TRUE(
       Contains(text, "# TYPE itrim_ingest_events_accepted_total counter"));
-  if constexpr (kEnabled) {
-    EXPECT_TRUE(Contains(
-        text, "itrim_ingest_events_accepted_total{slot=\"shard0\"} 5"));
-    EXPECT_TRUE(Contains(
-        text, "itrim_ingest_events_accepted_total{slot=\"shard1\"} 2"));
-  }
+  EXPECT_TRUE(Contains(
+      text, "itrim_ingest_events_accepted_total{slot=\"shard0\"} 5"));
+  EXPECT_TRUE(Contains(
+      text, "itrim_ingest_events_accepted_total{slot=\"shard1\"} 2"));
 
   // Gauge family.
   EXPECT_TRUE(Contains(text, "# TYPE itrim_ingest_queue_depth gauge"));
@@ -61,7 +59,7 @@ TEST(PrometheusTextTest, EmitsWellFormedFamilies) {
   // Build identity.
   EXPECT_TRUE(Contains(text, "# TYPE itrim_build_info gauge"));
   EXPECT_TRUE(Contains(text, "kernel=\"generic\""));
-  EXPECT_TRUE(Contains(text, "board=\"flat\""));
+  EXPECT_TRUE(Contains(text, "shards=\"2\""));
 
   // Exposition format basics: every non-comment line is `name{labels} value`
   // or `name value`, and the text ends with a newline.
@@ -77,7 +75,6 @@ TEST(PrometheusTextTest, EmitsWellFormedFamilies) {
 }
 
 TEST(PrometheusTextTest, HistogramBucketsAreCumulative) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "storage compiled out";
   std::string text = PrometheusText(SampleSnapshot());
   // Two observations on shard0 (1.0 and 100.0): the +Inf bucket of the
   // shard0 sample must read 2 (cumulative), not 1.
@@ -97,9 +94,7 @@ TEST(MetricsJsonTest, EmitsMergedAndPerSlotCases) {
   EXPECT_TRUE(Contains(json, "\"bounds\""));
   EXPECT_TRUE(Contains(json, "\"counts\""));
   EXPECT_TRUE(Contains(json, "\"kernel\": \"generic\""));
-  if constexpr (kEnabled) {
-    EXPECT_TRUE(Contains(json, "\"ingest_events_accepted\": 7"));
-  }
+  EXPECT_TRUE(Contains(json, "\"ingest_events_accepted\": 7"));
 }
 
 TEST(TracesJsonTest, EmitsEventsWithKindNames) {

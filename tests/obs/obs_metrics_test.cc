@@ -1,8 +1,6 @@
 // MetricsRegistry / MetricSlot behavior: the fixed catalog's metadata, hot
 // path recording into per-shard slots, scrape-time merging, build-info
-// pairs, and the optional ScrapeSampler thread. Everything except the
-// storage-dependent value checks also runs (as no-ops) under ITRIM_OBS=0,
-// so a disabled build keeps the API surface compiling and inert.
+// pairs, and the optional ScrapeSampler thread.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -78,18 +76,13 @@ TEST(MetricsRegistryTest, SlotsRecordAndScrapeMerges) {
 
   const int c = static_cast<int>(Counter::kIngestEventsAccepted);
   const int g = static_cast<int>(Gauge::kIngestQueueDepth);
-  if constexpr (kEnabled) {
-    EXPECT_EQ(snap.slots[0].counters[c], 5u);
-    EXPECT_EQ(snap.slots[1].counters[c], 2u);
-    EXPECT_EQ(snap.merged.counters[c], 7u);
-    EXPECT_EQ(snap.slots[0].gauges[g], 3.0);
-    EXPECT_EQ(snap.merged.gauges[g], 8.0);  // gauges sum across slots
-    EXPECT_EQ(a->Get(Counter::kIngestEventsAccepted), 5u);
-    EXPECT_EQ(b->Get(Gauge::kIngestQueueDepth), 5.0);
-  } else {
-    EXPECT_EQ(snap.merged.counters[c], 0u);
-    EXPECT_EQ(snap.merged.gauges[g], 0.0);
-  }
+  EXPECT_EQ(snap.slots[0].counters[c], 5u);
+  EXPECT_EQ(snap.slots[1].counters[c], 2u);
+  EXPECT_EQ(snap.merged.counters[c], 7u);
+  EXPECT_EQ(snap.slots[0].gauges[g], 3.0);
+  EXPECT_EQ(snap.merged.gauges[g], 8.0);  // gauges sum across slots
+  EXPECT_EQ(a->Get(Counter::kIngestEventsAccepted), 5u);
+  EXPECT_EQ(b->Get(Gauge::kIngestQueueDepth), 5.0);
 }
 
 TEST(MetricsRegistryTest, HistogramObservationsLandInTheRightBucket) {
@@ -105,18 +98,14 @@ TEST(MetricsRegistryTest, HistogramObservationsLandInTheRightBucket) {
   const HistogramValue& merged =
       snap.merged.histograms[static_cast<int>(Histogram::kIngestPopBatchSize)];
   ASSERT_EQ(merged.counts.size(), info.bounds.size() + 1);
-  if constexpr (kEnabled) {
-    EXPECT_EQ(merged.count, 3u);
-    EXPECT_DOUBLE_EQ(merged.sum, 1.0 + 3.0 + 1e6);
-    EXPECT_EQ(merged.counts[0], 1u);
-    EXPECT_EQ(merged.counts[2], 1u);
-    EXPECT_EQ(merged.counts[info.bounds.size()], 1u);  // overflow bucket
-    uint64_t total = 0;
-    for (uint64_t n : merged.counts) total += n;
-    EXPECT_EQ(total, merged.count);
-  } else {
-    EXPECT_EQ(merged.count, 0u);
-  }
+  EXPECT_EQ(merged.count, 3u);
+  EXPECT_DOUBLE_EQ(merged.sum, 1.0 + 3.0 + 1e6);
+  EXPECT_EQ(merged.counts[0], 1u);
+  EXPECT_EQ(merged.counts[2], 1u);
+  EXPECT_EQ(merged.counts[info.bounds.size()], 1u);  // overflow bucket
+  uint64_t total = 0;
+  for (uint64_t n : merged.counts) total += n;
+  EXPECT_EQ(total, merged.count);
 }
 
 TEST(MetricsRegistryTest, InfoPairsMergeLastWriteWins) {
@@ -160,11 +149,9 @@ TEST(MetricsRegistryTest, ScrapeIsSafeWhileWritersRecord) {
   stop.store(true, std::memory_order_relaxed);
   writer.join();
   MetricsSnapshot snap = registry.Scrape();
-  if constexpr (kEnabled) {
-    EXPECT_EQ(
-        snap.merged.counters[static_cast<int>(Counter::kSessionRoundsPlayed)],
-        slot->Get(Counter::kSessionRoundsPlayed));
-  }
+  EXPECT_EQ(
+      snap.merged.counters[static_cast<int>(Counter::kSessionRoundsPlayed)],
+      slot->Get(Counter::kSessionRoundsPlayed));
 }
 
 TEST(ScrapeSamplerTest, ValidatesItsInputsAndLifecycle) {
@@ -205,11 +192,9 @@ TEST(ScrapeSamplerTest, ObservesConcurrentRecording) {
   ASSERT_TRUE(sampler.Start().ok());
   for (int i = 0; i < 1000; ++i) slot->Inc(Counter::kPoolTasksExecuted);
   sampler.Stop();
-  if constexpr (kEnabled) {
-    // The final flush sample runs after Stop is requested, so it sees
-    // everything recorded before Stop() was called.
-    EXPECT_EQ(last_seen.load(), 1000u);
-  }
+  // The final flush sample runs after Stop is requested, so it sees
+  // everything recorded before Stop() was called.
+  EXPECT_EQ(last_seen.load(), 1000u);
 }
 
 TEST(MonotonicClockTest, NeverGoesBackwards) {

@@ -1,12 +1,12 @@
 // TraceBuffer behavior: ordered single-writer windows, wraparound loss
-// accounting, the packed kind/tenant metadata, and seqlock safety under a
-// concurrent reader. Under ITRIM_OBS=0 the ring is storage-free and
-// snapshots are empty — asserted here too, so both builds stay covered.
+// accounting, the capacity clamp, the packed kind/tenant metadata, and
+// seqlock safety under a concurrent reader.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -35,39 +35,43 @@ TEST(TraceBufferTest, RecordsInOrderWithMonotonicTimestamps) {
 
   std::vector<TraceEvent> events;
   trace.Snapshot(&events);
-  if constexpr (kEnabled) {
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].kind, TraceKind::kRoundStart);
-    EXPECT_EQ(events[1].kind, TraceKind::kTrimDecision);
-    EXPECT_EQ(events[2].kind, TraceKind::kRoundEnd);
-    EXPECT_EQ(events[0].seq, 0u);
-    EXPECT_EQ(events[2].seq, 2u);
-    for (const TraceEvent& ev : events) EXPECT_EQ(ev.tenant, 7u);
-    EXPECT_EQ(events[1].value, 12.0);
-    EXPECT_EQ(events[2].value, 0.93);
-    EXPECT_LE(events[0].ts_ns, events[1].ts_ns);
-    EXPECT_LE(events[1].ts_ns, events[2].ts_ns);
-    EXPECT_EQ(trace.recorded(), 3u);
-    EXPECT_EQ(trace.dropped(), 0u);
-  } else {
-    EXPECT_TRUE(events.empty());
-    EXPECT_EQ(trace.recorded(), 0u);
-  }
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].kind, TraceKind::kRoundStart);
+  EXPECT_EQ(events[1].kind, TraceKind::kTrimDecision);
+  EXPECT_EQ(events[2].kind, TraceKind::kRoundEnd);
+  EXPECT_EQ(events[0].seq, 0u);
+  EXPECT_EQ(events[2].seq, 2u);
+  for (const TraceEvent& ev : events) EXPECT_EQ(ev.tenant, 7u);
+  EXPECT_EQ(events[1].value, 12.0);
+  EXPECT_EQ(events[2].value, 0.93);
+  EXPECT_LE(events[0].ts_ns, events[1].ts_ns);
+  EXPECT_LE(events[1].ts_ns, events[2].ts_ns);
+  EXPECT_EQ(trace.recorded(), 3u);
+  EXPECT_EQ(trace.dropped(), 0u);
 }
 
 TEST(TraceBufferTest, CapacityRoundsUpToAPowerOfTwo) {
   TraceBuffer trace(24);
-  if constexpr (kEnabled) {
-    EXPECT_EQ(trace.capacity(), 32u);
-  }
+  EXPECT_EQ(trace.capacity(), 32u);
   TraceBuffer tiny(0);
-  if constexpr (kEnabled) {
-    EXPECT_GE(tiny.capacity(), 1u);
-  }
+  EXPECT_GE(tiny.capacity(), 1u);
+}
+
+TEST(TraceBufferTest, HugeCapacitiesClampToTheMaximum) {
+  // Rounding SIZE_MAX up to a power of two would overflow; the clamp keeps
+  // the constructor finite and the allocation bounded.
+  TraceBuffer huge(SIZE_MAX);
+  EXPECT_EQ(huge.capacity(), kMaxTraceCapacity);
+  TraceBuffer just_over(kMaxTraceCapacity + 1);
+  EXPECT_EQ(just_over.capacity(), kMaxTraceCapacity);
+  huge.Record(TraceKind::kRoundEnd, 3, 1.0);
+  std::vector<TraceEvent> events;
+  huge.Snapshot(&events);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].tenant, 3u);
 }
 
 TEST(TraceBufferTest, WraparoundKeepsTheNewestWindowAndCountsDrops) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "storage compiled out";
   TraceBuffer trace(8);
   for (int i = 0; i < 20; ++i) {
     trace.Record(TraceKind::kRoundEnd, 1, static_cast<double>(i));
@@ -83,7 +87,6 @@ TEST(TraceBufferTest, WraparoundKeepsTheNewestWindowAndCountsDrops) {
 }
 
 TEST(TraceBufferTest, TenantIdsSurviveUpTo56Bits) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "storage compiled out";
   TraceBuffer trace(4);
   const uint64_t big = (uint64_t{1} << 56) - 1;
   trace.Record(TraceKind::kHibernate, big, 3.0);
@@ -95,7 +98,6 @@ TEST(TraceBufferTest, TenantIdsSurviveUpTo56Bits) {
 }
 
 TEST(TraceBufferTest, SnapshotRacesWritersWithoutTearing) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "storage compiled out";
   TraceBuffer trace(64);
   std::atomic<bool> stop{false};
   // Two writers hammer the ring (the multi-writer shape: a worker plus a
