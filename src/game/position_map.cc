@@ -10,38 +10,166 @@
 
 namespace itrim {
 
+namespace {
+
+/// Value-range buckets of the upper-rank ordering (~1 sample per bucket at
+/// the n = 500 bootstrap).
+constexpr size_t kOrderBuckets = 512;
+/// Largest bucket left to the final insertion pass; larger ones are
+/// std::sorted first, which bounds that pass at O(n * kInsertionMax).
+constexpr size_t kInsertionMax = 16;
+
+/// \brief Reused per-column scratch of OrderUpperRanks.
+struct RankScratch {
+  explicit RankScratch(size_t n)
+      : column(n), bucket(n), starts(kOrderBuckets), ordered(n) {}
+
+  std::vector<double> column;    ///< the column, in row order
+  std::vector<uint16_t> bucket;  ///< bucket of each column entry
+  std::vector<uint32_t> starts;  ///< bucket counts, then next write rank
+  std::vector<double> ordered;   ///< ranks >= lo_rank: order statistics
+};
+
+/// \brief Fills ranks [lo_rank, n) of `scratch->ordered` with the ascending
+/// order statistics of column `j` of `rows` (finite values in [lo, hi]);
+/// ranks below lo_rank are left unspecified.
+///
+/// Bucket b = floor((v - lo) * (K - 1) / (hi - lo)) is monotone in v under
+/// correctly rounded arithmetic, so every bucket is a value interval and the
+/// stable bucket scatter is sorted up to order within buckets. Only the
+/// buckets that reach lo_rank are then ordered. The worst case — all values
+/// in one bucket, or a range the scale cannot represent — is one std::sort.
+void OrderUpperRanks(std::span<const double* const> rows, size_t j,
+                     size_t lo_rank, double lo, double hi,
+                     RankScratch* scratch) {
+  const size_t n = rows.size();
+  double* column = scratch->column.data();
+  double* ordered = scratch->ordered.data();
+  const double scale = static_cast<double>(kOrderBuckets - 1) / (hi - lo);
+  if (!(hi > lo) || !std::isfinite(scale)) {
+    for (size_t i = 0; i < n; ++i) ordered[i] = rows[i][j];
+    std::sort(ordered, ordered + n);
+    return;
+  }
+  uint16_t* bucket = scratch->bucket.data();
+  uint32_t* starts = scratch->starts.data();
+  std::fill(starts, starts + kOrderBuckets, 0u);
+  for (size_t i = 0; i < n; ++i) {
+    const double v = rows[i][j];
+    const size_t b =
+        std::min(static_cast<size_t>((v - lo) * scale), kOrderBuckets - 1);
+    column[i] = v;
+    bucket[i] = static_cast<uint16_t>(b);
+    ++starts[b];
+  }
+  // Exclusive prefix sums; `first` is the bucket holding rank lo_rank.
+  uint32_t rank = 0;
+  uint32_t largest = 0;
+  size_t first = kOrderBuckets;
+  for (size_t b = 0; b < kOrderBuckets; ++b) {
+    const uint32_t count = starts[b];
+    largest = std::max(largest, count);
+    starts[b] = rank;
+    rank += count;
+    if (first == kOrderBuckets && rank > lo_rank) first = b;
+  }
+  const size_t first_rank = starts[first];
+  // Scatter the whole column: branch-free, and the lower buckets it also
+  // writes are simply never ordered. Afterwards starts[b] ends bucket b.
+  for (size_t i = 0; i < n; ++i) ordered[starts[bucket[i]]++] = column[i];
+  if (largest > kInsertionMax) {
+    size_t begin = first_rank;
+    for (size_t b = first; b < kOrderBuckets; ++b) {
+      const size_t end = starts[b];
+      if (end - begin > kInsertionMax) {
+        std::sort(ordered + begin, ordered + end);
+      }
+      begin = end;
+    }
+  }
+  // One insertion pass over the upper buckets: they ascend as intervals, so
+  // a value only moves within its own (small or already sorted) bucket.
+  for (size_t i = first_rank + 1; i < n; ++i) {
+    const double v = ordered[i];
+    size_t k = i;
+    for (; k > first_rank && ordered[k - 1] > v; --k) {
+      ordered[k] = ordered[k - 1];
+    }
+    ordered[k] = v;
+  }
+}
+
+}  // namespace
+
 Result<PositionMap> PositionMap::Build(
     const std::vector<std::vector<double>>& sample) {
   if (sample.size() < 2) {
     return Status::InvalidArgument("position map needs >= 2 sample rows");
   }
   const size_t dims = sample[0].size();
-  if (dims == 0) return Status::InvalidArgument("zero-dimensional rows");
   for (const auto& row : sample) {
     if (row.size() != dims) {
       return Status::InvalidArgument("ragged sample matrix");
     }
   }
-  PositionMap map;
-  map.centroid_ = Centroid(sample);
+  std::vector<const double*> rows(sample.size());
+  for (size_t i = 0; i < sample.size(); ++i) rows[i] = sample[i].data();
+  return Build(rows, dims);
+}
 
-  // Sort each feature column once; evaluate the quantile vector per knot.
-  std::vector<std::vector<double>> columns(dims);
-  for (size_t j = 0; j < dims; ++j) {
-    columns[j].reserve(sample.size());
-    for (const auto& row : sample) columns[j].push_back(row[j]);
-    std::sort(columns[j].begin(), columns[j].end());
+Result<PositionMap> PositionMap::Build(std::span<const double* const> rows,
+                                       size_t dims) {
+  const size_t n = rows.size();
+  if (n < 2) {
+    return Status::InvalidArgument("position map needs >= 2 sample rows");
   }
+  if (dims == 0) return Status::InvalidArgument("zero-dimensional rows");
+  PositionMap map;
+  // One pass in row order: the centroid sums (the additions of Centroid(),
+  // bit for bit) and each column's value range.
+  map.centroid_.assign(dims, 0.0);
+  std::vector<double> lo(rows[0], rows[0] + dims);
+  std::vector<double> hi = lo;
+  for (const double* row : rows) {
+    for (size_t j = 0; j < dims; ++j) {
+      map.centroid_[j] += row[j];
+      lo[j] = std::min(lo[j], row[j]);
+      hi[j] = std::max(hi[j], row[j]);
+    }
+  }
+  // A NaN or infinite value makes its column sum non-finite (so does a sum
+  // that overflows, which would leave no usable centroid either).
+  for (double sum : map.centroid_) {
+    if (!std::isfinite(sum)) {
+      return Status::InvalidArgument("non-finite sample value or column sum");
+    }
+  }
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (double& c : map.centroid_) c *= inv_n;
+
+  // Every quantile read below sits at q >= kGridLo, where QuantileSorted
+  // touches only ranks >= floor(kGridLo * n - 0.5): order just those, one
+  // column at a time, into the (knots + 1) x dims quantile matrix (the last
+  // row is q = 0.95).
   const size_t knots =
       static_cast<size_t>(std::lround((1.0 - kGridLo) / kGridStep)) + 1;
-  map.grid_distance_.resize(knots);
-  std::vector<double> qvec(dims);
-  for (size_t i = 0; i < knots; ++i) {
-    double a = kGridLo + static_cast<double>(i) * kGridStep;
-    for (size_t j = 0; j < dims; ++j) {
-      qvec[j] = QuantileSorted(columns[j], a);
+  const size_t lo_rank =
+      static_cast<size_t>(kGridLo * static_cast<double>(n) - 0.5);
+  std::vector<double> quantiles((knots + 1) * dims);
+  RankScratch scratch(n);
+  for (size_t j = 0; j < dims; ++j) {
+    OrderUpperRanks(rows, j, lo_rank, lo[j], hi[j], &scratch);
+    for (size_t i = 0; i < knots; ++i) {
+      const double a = kGridLo + static_cast<double>(i) * kGridStep;
+      quantiles[i * dims + j] = QuantileSorted(scratch.ordered, a);
     }
-    map.grid_distance_[i] = EuclideanDistance(qvec, map.centroid_);
+    quantiles[knots * dims + j] = QuantileSorted(scratch.ordered, 0.95);
+  }
+  map.grid_distance_.resize(knots);
+  for (size_t i = 0; i < knots; ++i) {
+    map.grid_distance_[i] = EuclideanDistance(
+        std::span<const double>(quantiles.data() + i * dims, dims),
+        map.centroid_);
   }
   // Enforce monotonicity (running max): skewed features can make the raw
   // curve dip locally; the envelope keeps the inverse well-defined.
@@ -54,14 +182,12 @@ Result<PositionMap> PositionMap::Build(
     return Status::InvalidArgument("sample has no spread around centroid");
   }
   // Canonical adversarial direction: toward the 0.95 quantile vector.
-  for (size_t j = 0; j < dims; ++j) {
-    qvec[j] = QuantileSorted(columns[j], 0.95);
-  }
+  const std::span<const double> q95(quantiles.data() + knots * dims, dims);
   map.quantile_direction_.resize(dims);
-  double norm = EuclideanDistance(qvec, map.centroid_);
+  double norm = EuclideanDistance(q95, map.centroid_);
   if (norm <= 0.0) norm = 1.0;
   for (size_t j = 0; j < dims; ++j) {
-    map.quantile_direction_[j] = (qvec[j] - map.centroid_[j]) / norm;
+    map.quantile_direction_[j] = (q95[j] - map.centroid_[j]) / norm;
   }
   map.BuildInversionIndex();
   return map;

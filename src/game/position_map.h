@@ -9,11 +9,13 @@
 // farther than D(T).
 //
 // PositionMap captures this mapping, built once from the clean round-0
-// calibration sample: a monotone grid of (position a -> distance D(a)) on
-// [0.5, 1] plus its inverse. Scoring a row means mapping its centroid
-// distance back to a position, so the whole game — trimming thresholds,
-// injection points, quality bands — plays out in one shared percentile
-// coordinate, exactly like the scalar case.
+// calibration sample (finite values only): a monotone grid of (position
+// a -> distance D(a)) on [0.5, 1] plus its inverse. Since no knot reads
+// below the median, Build orders only the upper half of each feature
+// column. Scoring a row means mapping its centroid distance back to a
+// position, so the whole game — trimming thresholds, injection points,
+// quality bands — plays out in one shared percentile coordinate, exactly
+// like the scalar case.
 //
 // Empirically (see DESIGN.md) this geometry reproduces the paper's two key
 // quantitative features: benign loss under a threshold T ~= 1 - T for
@@ -37,7 +39,21 @@ class PositionMap {
   /// Creates an empty map; populate it via Build().
   PositionMap() = default;
 
-  /// \brief Builds the map from a clean sample (>= 2 rows, uniform width).
+  /// \brief Builds the map from a clean sample of `rows.size()` (>= 2)
+  /// borrowed rows of `dims` doubles each; the rows are read in place and
+  /// not retained. Every value, and each column's sum, must be finite
+  /// (InvalidArgument otherwise).
+  ///
+  /// Cost contract: every quantile the map reads sits at q >= 0.5, where
+  /// QuantileSorted touches only ranks >= floor(0.5 * n - 0.5), so each
+  /// column orders just that upper half (a value-range bucket scatter,
+  /// exact because every bucket is a value interval). The centroid, grid
+  /// and direction equal a full per-column sort bit for bit.
+  static Result<PositionMap> Build(std::span<const double* const> rows,
+                                   size_t dims);
+
+  /// \brief Shape-checking form over owned rows (>= 2 rows, uniform
+  /// width); forwards to the borrowed-row Build above.
   static Result<PositionMap> Build(
       const std::vector<std::vector<double>>& sample);
 

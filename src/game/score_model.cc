@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "game/kernels.h"
@@ -155,6 +156,9 @@ Status DistanceScoreModel::BeginRun() {
   if (source_ == nullptr || source_->rows.empty()) {
     return Status::FailedPrecondition("source dataset is empty");
   }
+  // Rows are read in place at dims() doubles each (bootstrap sample,
+  // first-draw scoring, round copies): a ragged source is rejected here.
+  ITRIM_RETURN_NOT_OK(source_->Validate());
   labeled_ = source_->labeled();
   dims_ = source_->dims();
   poison_row_scratch_.resize(dims_);
@@ -169,35 +173,21 @@ Status DistanceScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
                                      PublicBoard* board) {
   // The clean calibration sample fixes the percentile geometry
   // (per-feature quantile-vector map) and seeds the board with benign
-  // position scores.
-  std::vector<std::vector<double>> bootstrap;
-  bootstrap.reserve(bootstrap_size);
-  for (size_t i = 0; i < bootstrap_size; ++i) {
-    bootstrap.push_back(source_->rows[rng->UniformInt(source_->rows.size())]);
-  }
-  ITRIM_ASSIGN_OR_RETURN(position_map_, PositionMap::Build(bootstrap));
-  centroid_ = position_map_.centroid();
-  // Board seeding and the source-score cache both run through the batched
-  // kernel sweep; the doubles match per-row scoring exactly (the kernel
-  // shares the canonical distance with PositionOfRow).
-  std::vector<double> flat(bootstrap_size * dims_);
-  for (size_t i = 0; i < bootstrap_size; ++i) {
-    std::copy(bootstrap[i].begin(), bootstrap[i].end(),
-              flat.begin() + static_cast<ptrdiff_t>(i * dims_));
-  }
-  std::vector<double> positions(bootstrap_size);
-  position_map_.PositionsOfRows(flat, bootstrap_size, positions);
-  for (double p : positions) {
-    board->RecordOne(p);
-  }
+  // position scores. The sample borrows source rows; nothing is copied.
   const size_t n_source = source_->rows.size();
-  flat.resize(n_source * dims_);
-  for (size_t i = 0; i < n_source; ++i) {
-    std::copy(source_->rows[i].begin(), source_->rows[i].end(),
-              flat.begin() + static_cast<ptrdiff_t>(i * dims_));
+  std::vector<const double*> sample(bootstrap_size);
+  for (const double*& row : sample) {
+    row = source_->rows[rng->UniformInt(n_source)].data();
   }
-  source_scores_.resize(n_source);
-  position_map_.PositionsOfRows(flat, n_source, source_scores_);
+  ITRIM_ASSIGN_OR_RETURN(position_map_, PositionMap::Build(sample, dims_));
+  centroid_ = position_map_.centroid();
+  // Per-row scoring matches the batched kernel sweep bit for bit (the
+  // kernel shares the canonical distance with PositionOfRow).
+  for (const double* row : sample) {
+    board->RecordOne(
+        position_map_.PositionOfRow(std::span<const double>(row, dims_)));
+  }
+  source_scores_.assign(n_source, std::numeric_limits<double>::quiet_NaN());
   return Status::OK();
 }
 
@@ -229,7 +219,11 @@ void DistanceScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
       std::copy(src.begin(), src.end(), slot.begin());
     }
     if (labeled_) labels_.push_back(source_->labels[idx]);
-    scores_.push_back(source_scores_[idx]);
+    double& score = source_scores_[idx];
+    if (std::isnan(score)) {
+      score = position_map_.PositionOfRow(source_->rows[idx]);
+    }
+    scores_.push_back(score);
     is_poison_.push_back(0);
   }
 }

@@ -331,11 +331,14 @@ class DistanceScoreModel : public ScoreModel {
   PositionMap position_map_;
   std::vector<double> centroid_;
   std::vector<double> direction_;
-  /// PositionOfRow of every source row, fixed once Bootstrap() builds the
-  /// geometry: benign arrivals are source rows sampled with replacement,
-  /// so their scores are table lookups instead of d-dimensional distance
-  /// evaluations every round (the doubles are the cached results of the
-  /// exact same computation — bit-identical to scoring on arrival).
+  /// PositionOfRow of each source row, filled on the row's first draw:
+  /// Bootstrap() sizes it NaN-filled (NaN means not yet scored), and
+  /// AppendBenignBatch scores a NaN entry in place. Benign arrivals are
+  /// source rows sampled with replacement, so a warm row's score is a table
+  /// lookup instead of a d-dimensional distance evaluation, and a cold
+  /// round pays only for the rows it draws. The doubles are the exact
+  /// same computation — bit-identical to scoring on arrival; a row whose
+  /// true score is NaN just recomputes the same value.
   std::vector<double> source_scores_;
   std::vector<double> poison_row_scratch_;  ///< poison row when not retaining
   std::vector<double> row_data_;  ///< flat SoA row pool, rows_used_ x dims_

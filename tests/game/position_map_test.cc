@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "stats/quantile.h"
+
+#include "game/summary_test_util.h"
 
 namespace itrim {
 namespace {
@@ -27,6 +35,188 @@ TEST(PositionMapTest, ValidatesInput) {
   EXPECT_FALSE(PositionMap::Build({{1.0}, {1.0, 2.0}}).ok());
   // Constant sample: no spread around the centroid.
   EXPECT_FALSE(PositionMap::Build({{1.0, 1.0}, {1.0, 1.0}}).ok());
+}
+
+TEST(PositionMapTest, RejectsNonFiniteSampleValues) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (double v : bad) {
+    auto sample = GaussianSample(50, 3, 9);
+    sample[17][2] = v;
+    auto map = PositionMap::Build(sample);
+    ASSERT_FALSE(map.ok()) << v;
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument) << v;
+  }
+}
+
+TEST(PositionMapTest, BorrowedRowsBuildTheSameMap) {
+  const auto sample = GaussianSample(300, 5, 10);
+  std::vector<const double*> rows;
+  for (const auto& row : sample) rows.push_back(row.data());
+  auto owned = PositionMap::Build(sample).ValueOrDie();
+  auto borrowed = PositionMap::Build(rows, 5).ValueOrDie();
+  EXPECT_EQ(owned.centroid(), borrowed.centroid());
+  EXPECT_EQ(owned.quantile_direction(), borrowed.quantile_direction());
+  EXPECT_FALSE(PositionMap::Build(rows, 0).ok());
+  EXPECT_FALSE(
+      PositionMap::Build(std::span<const double* const>(rows.data(), 1), 5)
+          .ok());
+}
+
+// --- Differential test: upper-rank ordering vs a full per-column sort ---
+
+constexpr double kGridLo = 0.5;
+constexpr double kGridStep = 0.005;
+
+// Line-by-line replica of the full-sort PositionMap::Build: every column
+// sorted whole, the quantile vector evaluated per knot.
+struct LegacyGeometry {
+  std::vector<double> centroid;
+  std::vector<double> grid;
+  std::vector<double> direction;
+};
+
+Result<LegacyGeometry> LegacyBuild(
+    const std::vector<std::vector<double>>& sample) {
+  const size_t dims = sample[0].size();
+  LegacyGeometry g;
+  g.centroid = Centroid(sample);
+  std::vector<std::vector<double>> columns(dims);
+  for (size_t j = 0; j < dims; ++j) {
+    for (const auto& row : sample) columns[j].push_back(row[j]);
+    std::sort(columns[j].begin(), columns[j].end());
+  }
+  const size_t knots =
+      static_cast<size_t>(std::lround((1.0 - kGridLo) / kGridStep)) + 1;
+  g.grid.resize(knots);
+  std::vector<double> qvec(dims);
+  for (size_t i = 0; i < knots; ++i) {
+    double a = kGridLo + static_cast<double>(i) * kGridStep;
+    for (size_t j = 0; j < dims; ++j) qvec[j] = QuantileSorted(columns[j], a);
+    g.grid[i] = EuclideanDistance(qvec, g.centroid);
+  }
+  for (size_t i = 1; i < knots; ++i) {
+    g.grid[i] = std::max(g.grid[i], g.grid[i - 1]);
+  }
+  if (g.grid.back() <= 0.0) {
+    return Status::InvalidArgument("sample has no spread around centroid");
+  }
+  for (size_t j = 0; j < dims; ++j) qvec[j] = QuantileSorted(columns[j], 0.95);
+  g.direction.resize(dims);
+  double norm = EuclideanDistance(qvec, g.centroid);
+  if (norm <= 0.0) norm = 1.0;
+  for (size_t j = 0; j < dims; ++j) {
+    g.direction[j] = (qvec[j] - g.centroid[j]) / norm;
+  }
+  return g;
+}
+
+// DistanceAt / PositionOf over the legacy grid, with a plain binary search
+// standing in for the inversion accelerator.
+double LegacyDistanceAt(const std::vector<double>& grid, double position) {
+  if (position <= kGridLo) {
+    return grid.front() * std::max(position, 0.0) / kGridLo;
+  }
+  if (position >= 1.0) return grid.back() * (1.0 + (position - 1.0));
+  double idx = (position - kGridLo) / kGridStep;
+  size_t lo = static_cast<size_t>(idx);
+  size_t hi = std::min(lo + 1, grid.size() - 1);
+  return Lerp(grid[lo], grid[hi], idx - static_cast<double>(lo));
+}
+
+double LegacyPositionOf(const std::vector<double>& grid, double distance) {
+  const double d_lo = grid.front();
+  const double d_hi = grid.back();
+  if (distance <= d_lo) return d_lo > 0.0 ? kGridLo * distance / d_lo : 0.0;
+  if (distance >= d_hi) return 1.0 + (distance - d_hi) / d_hi;
+  size_t hi = static_cast<size_t>(
+      std::lower_bound(grid.begin(), grid.end(), distance) - grid.begin());
+  size_t lo = hi == 0 ? 0 : hi - 1;
+  double span = grid[hi] - grid[lo];
+  double frac = span > 0.0 ? (distance - grid[lo]) / span : 0.0;
+  return kGridLo + (static_cast<double>(lo) + frac) * kGridStep;
+}
+
+enum class Shape {
+  kGaussian,
+  kDuplicates,
+  kConstantColumn,
+  kFarOutlier,
+  kSignedZeros
+};
+
+std::vector<std::vector<double>> ShapedSample(Shape shape, size_t n,
+                                              size_t dims, uint64_t seed) {
+  auto rows = GaussianSample(n, dims, seed);
+  Rng rng(seed ^ 0x5A5A);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < dims; ++j) {
+      double& v = rows[i][j];
+      switch (shape) {
+        case Shape::kGaussian:
+          break;
+        case Shape::kDuplicates:  // a handful of distinct values
+          v = static_cast<double>(rng.UniformInt(4)) - 1.5;
+          break;
+        case Shape::kConstantColumn:
+          if (j == 0) v = 3.25;
+          break;
+        case Shape::kFarOutlier:  // everything else lands in one bucket
+          if (i == n / 2) v = 1e9;
+          break;
+        case Shape::kSignedZeros: {
+          const double pool[] = {-0.0, 0.0, -2.5, 2.5, -0.0, 0.0, 1.0};
+          v = pool[rng.UniformInt(7)];
+          break;
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(PositionMapDifferentialTest, MatchesFullSortBuildBitForBit) {
+  const size_t sizes[] = {2, 3, 4, 5, 7, 500, 501, 2000};
+  const size_t widths[] = {1, 3, 60};
+  const Shape shapes[] = {Shape::kGaussian, Shape::kDuplicates,
+                          Shape::kConstantColumn, Shape::kFarOutlier,
+                          Shape::kSignedZeros};
+  uint64_t seed = 100;
+  for (Shape shape : shapes) {
+    for (size_t n : sizes) {
+      for (size_t dims : widths) {
+        SCOPED_TRACE("shape=" + std::to_string(static_cast<int>(shape)) +
+                     " n=" + std::to_string(n) +
+                     " dims=" + std::to_string(dims));
+        const auto sample = ShapedSample(shape, n, dims, ++seed);
+        auto legacy = LegacyBuild(sample);
+        auto built = PositionMap::Build(sample);
+        ASSERT_EQ(legacy.ok(), built.ok());
+        if (!built.ok()) {
+          EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+          continue;
+        }
+        const LegacyGeometry& g = legacy.ValueOrDie();
+        const PositionMap& map = built.ValueOrDie();
+        ASSERT_EQ(map.grid_size(), g.grid.size());
+        for (size_t j = 0; j < dims; ++j) {
+          EXPECT_TRUE(BitEqual(map.centroid()[j], g.centroid[j])) << j;
+          EXPECT_TRUE(BitEqual(map.quantile_direction()[j], g.direction[j]))
+              << j;
+        }
+        for (size_t i = 0; i < g.grid.size(); ++i) {
+          const double a = kGridLo + static_cast<double>(i) * kGridStep;
+          EXPECT_TRUE(
+              BitEqual(map.DistanceAt(a), LegacyDistanceAt(g.grid, a)))
+              << "knot " << i;
+          EXPECT_TRUE(BitEqual(map.PositionOf(g.grid[i]),
+                               LegacyPositionOf(g.grid, g.grid[i])))
+              << "knot " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(PositionMapTest, DistanceIsMonotoneInPosition) {

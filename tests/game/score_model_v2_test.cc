@@ -223,6 +223,93 @@ TEST(ExternalIngestTest, DistanceIngestRejectsLabeledAndUnbootstrapped) {
             StatusCode::kInvalidArgument);
 }
 
+// Source-row scores are filled on a row's first draw. The round's benign
+// draws are the first RNG consumer of Step(), so replaying the pre-step
+// stream state recovers the rows; their scores must equal one batched
+// PositionsOfRows sweep over the same rows, bit for bit.
+void ExpectStepScoresMatchBatch(TrimmingSession* session,
+                                const DistanceScoreModel& model,
+                                const Dataset& data) {
+  Rng replay;
+  replay.Restore(session->Checkpoint().rng);
+  ASSERT_TRUE(session->Step().ok());
+  const size_t count = session->config().round_size;
+  std::vector<uint64_t> idx(count);
+  replay.FillUniformInt(data.rows.size(), idx.data(), count);
+  std::vector<double> flat;
+  for (uint64_t i : idx) {
+    flat.insert(flat.end(), data.rows[i].begin(), data.rows[i].end());
+  }
+  std::vector<double> batch(count);
+  model.position_map().PositionsOfRows(flat, count, batch);
+  std::span<const double> scores = model.scores();
+  std::span<const char> is_poison = model.is_poison();
+  ASSERT_GE(scores.size(), count);
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(is_poison[i], 0) << "i=" << i;
+    EXPECT_TRUE(BitEqual(scores[i], batch[i])) << "i=" << i;
+  }
+}
+
+TEST(DistanceFirstDrawScoresTest, MatchBatchedSweepAcrossRoundsAndRestore) {
+  VariantGuard guard;
+  // 240 source rows against 6 x 80 draws: rounds mix first draws and
+  // cached repeats.
+  Dataset data = MakeControl(47, 40);
+  GameConfig config;
+  config.rounds = 10;
+  config.round_size = 80;
+  config.attack_ratio = 0.2;
+  config.bootstrap_size = 100;
+  config.seed = 4242;
+  for (Variant variant : {Variant::kGeneric, Variant::kVector}) {
+    SCOPED_TRACE(kernels::VariantName(variant));
+    kernels::ForceVariant(variant);
+    SessionCheckpoint checkpoint;
+    {
+      DistanceScoreModel model(&data);
+      ElasticCollector collector(0.1);
+      ElasticAdversary adversary(0.1);
+      TrimmingSession session(config, &model, &collector, &adversary,
+                              nullptr);
+      ASSERT_TRUE(session.Bootstrap().ok());
+      for (int round = 0; round < 6; ++round) {
+        ExpectStepScoresMatchBatch(&session, model, data);
+      }
+      checkpoint = session.Checkpoint();
+    }
+    // Restore re-runs the bootstrap: the score table starts unfilled again.
+    DistanceScoreModel model(&data);
+    ElasticCollector collector(0.1);
+    ElasticAdversary adversary(0.1);
+    TrimmingSession session(config, &model, &collector, &adversary, nullptr);
+    ASSERT_TRUE(session.Restore(checkpoint).ok());
+    for (int round = 0; round < 3; ++round) {
+      ExpectStepScoresMatchBatch(&session, model, data);
+    }
+  }
+}
+
+// Distance models read source rows in place at the source width: a ragged
+// source must be rejected before any row is read (this also runs on the
+// sanitizer leg, which catches an out-of-bounds read).
+TEST(DistanceRaggedSourceTest, BootstrapRejectsRaggedSource) {
+  for (bool short_first : {false, true}) {
+    SCOPED_TRACE(short_first ? "short first row" : "short later row");
+    Dataset data = MakeControl(53, 30);
+    data.rows[short_first ? 0 : data.rows.size() / 2].resize(3);
+    DistanceScoreModel model(&data);
+    ElasticCollector collector(0.1);
+    ElasticAdversary adversary(0.1);
+    GameConfig config;
+    config.round_size = 40;
+    config.bootstrap_size = 120;
+    TrimmingSession session(config, &model, &collector, &adversary, nullptr);
+    EXPECT_EQ(session.Bootstrap().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(session.Step().ok());
+  }
+}
+
 // The headline end-to-end gate: a full game stream is bit-identical under
 // both kernel builds, across every scheme and all three data settings.
 class VariantStreamEquivalenceTest
