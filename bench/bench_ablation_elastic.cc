@@ -19,7 +19,8 @@
 #include "common/table_printer.h"
 #include "data/generators.h"
 #include "exp/experiments.h"
-#include "game/collection_game.h"
+#include "game/score_model.h"
+#include "game/session.h"
 #include "game/strategies.h"
 
 int main(int argc, char** argv) {
@@ -54,9 +55,9 @@ int main(int argc, char** argv) {
       config.tth = 0.9;
       config.round_mass_trimming = true;
       config.seed = 42 + static_cast<uint64_t>(rep);
-      DistanceCollectionGame game(config, &data, &collector, &adversary,
-                                  nullptr);
-      auto summary = game.Run();
+      DistanceScoreModel model(&data);
+      TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+      auto summary = game.RunToCompletion();
       if (!summary.ok()) {
         std::cerr << "ERROR: " << summary.status().ToString() << "\n";
         return 1;

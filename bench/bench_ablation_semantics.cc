@@ -21,7 +21,7 @@
 #include "common/table_printer.h"
 #include "data/generators.h"
 #include "exp/schemes.h"
-#include "game/collection_game.h"
+#include "fleet/tenant.h"
 
 int main(int argc, char** argv) {
   using namespace itrim;
@@ -42,21 +42,25 @@ int main(int argc, char** argv) {
       auto cell_start = std::chrono::steady_clock::now();
       double survival = 0.0, loss = 0.0, untrimmed = 0.0;
       for (int rep = 0; rep < reps; ++rep) {
-        SchemeOptions opts;
-        opts.seed = 11 + static_cast<uint64_t>(rep);
-        SchemeInstance scheme = MakeScheme(id, kTth, opts);
-        GameConfig config;
-        config.rounds = 15;
-        config.round_size = 200;
-        config.attack_ratio = kRatio;
-        config.tth = kTth;
-        config.round_mass_trimming = round_mass;
-        config.seed = 1000 + static_cast<uint64_t>(rep) * 7 +
-                      static_cast<uint64_t>(id);
-        DistanceCollectionGame game(config, &data, scheme.collector.get(),
-                                    scheme.adversary.get(),
-                                    scheme.quality.get());
-        auto summary = game.Run();
+        TenantSpec spec;
+        spec.model = ModelKind::kDistance;
+        spec.scheme = id;
+        spec.scheme_options.seed = 11 + static_cast<uint64_t>(rep);
+        spec.game.rounds = 15;
+        spec.game.round_size = 200;
+        spec.game.attack_ratio = kRatio;
+        spec.game.tth = kTth;
+        spec.game.round_mass_trimming = round_mass;
+        spec.game.seed = 1000 + static_cast<uint64_t>(rep) * 7 +
+                         static_cast<uint64_t>(id);
+        spec.retain_survivors = true;
+        spec.dataset = &data;
+        auto tenant = MaterializeTenant(spec, spec.game.seed);
+        if (!tenant.ok()) {
+          std::cerr << "ERROR: " << tenant.status().ToString() << "\n";
+          return 1;
+        }
+        auto summary = tenant->session->RunToCompletion();
         if (!summary.ok()) {
           std::cerr << "ERROR: " << summary.status().ToString() << "\n";
           return 1;

@@ -19,8 +19,9 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "data/generators.h"
-#include "game/collection_game.h"
 #include "game/quality.h"
+#include "game/score_model.h"
+#include "game/session.h"
 #include "game/strategies.h"
 #include "game/variants.h"
 
@@ -77,9 +78,10 @@ int main(int argc, char** argv) {
         config.tth = 0.9;
         config.round_mass_trimming = true;
         config.seed = seed;
-        DistanceCollectionGame game(config, &data, collector.get(),
-                                    &adversary, &quality);
-        auto summary = game.Run();
+        DistanceScoreModel model(&data);
+        TrimmingSession game(config, &model, collector.get(), &adversary,
+                             &quality);
+        auto summary = game.RunToCompletion();
         if (!summary.ok()) {
           std::cerr << "ERROR: " << summary.status().ToString() << "\n";
           return 1;

@@ -5,8 +5,9 @@
 #include "bench/gbench_bridge.h"
 
 #include "common/rng.h"
-#include "game/collection_game.h"
 #include "game/public_board.h"
+#include "game/score_model.h"
+#include "game/session.h"
 #include "game/strategies.h"
 #include "game/trimmer.h"
 #include "ml/kmeans.h"
@@ -88,8 +89,9 @@ void BM_ScalarGameRound(benchmark::State& state) {
     config.seed = 9;
     ElasticCollector collector(0.5);
     ElasticAdversary adversary(0.5);
-    ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-    benchmark::DoNotOptimize(game.Run());
+    IdentityScoreModel model(&pool);
+    TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+    benchmark::DoNotOptimize(game.RunToCompletion());
   }
   state.SetItemsProcessed(state.iterations() * 5 * state.range(0));
 }

@@ -18,7 +18,8 @@
 #include "common/thread_pool.h"
 #include "data/generators.h"
 #include "exp/schemes.h"
-#include "game/collection_game.h"
+#include "fleet/tenant.h"
+#include "game/score_model.h"
 #include "ml/kmeans.h"
 
 int main(int argc, char** argv) {
@@ -44,23 +45,26 @@ int main(int argc, char** argv) {
   // followed by a k-means fit of the survivors — the hot loop of
   // RunKmeansExperiment.
   auto run_arm = [&](size_t arm) {
-    SchemeOptions opts;
-    opts.seed = 1000 + static_cast<uint64_t>(arm) * 7919;
-    SchemeInstance scheme = MakeScheme(SchemeId::kElastic05, 0.9, opts);
-    GameConfig config;
-    config.rounds = 12;
-    config.round_size = 200;
-    config.attack_ratio = 0.3;
-    config.tth = 0.9;
-    config.bootstrap_size = 200;
-    config.round_mass_trimming = true;
-    config.seed = 42 + static_cast<uint64_t>(arm) * 104729;
-    DistanceCollectionGame game(config, &data, scheme.collector.get(),
-                                scheme.adversary.get(), scheme.quality.get());
-    if (!game.Run().ok()) return 0.0;
+    TenantSpec spec;
+    spec.model = ModelKind::kDistance;
+    spec.scheme = SchemeId::kElastic05;
+    spec.scheme_options.seed = 1000 + static_cast<uint64_t>(arm) * 7919;
+    spec.game.rounds = 12;
+    spec.game.round_size = 200;
+    spec.game.attack_ratio = 0.3;
+    spec.game.tth = 0.9;
+    spec.game.bootstrap_size = 200;
+    spec.game.round_mass_trimming = true;
+    spec.game.seed = 42 + static_cast<uint64_t>(arm) * 104729;
+    spec.retain_survivors = true;
+    spec.dataset = &data;
+    auto tenant = MaterializeTenant(spec, spec.game.seed);
+    if (!tenant.ok() || !tenant->session->RunToCompletion().ok()) return 0.0;
     KMeansConfig km_run = km;
     km_run.seed = km.seed + static_cast<uint64_t>(arm) * 13;
-    auto model = KMeans(game.retained_data().rows, km_run);
+    const Dataset& survivors =
+        static_cast<const DistanceScoreModel&>(*tenant->model).retained_data();
+    auto model = KMeans(survivors.rows, km_run);
     if (!model.ok()) return 0.0;
     return EvaluateSse(data.rows, model->centroids);
   };

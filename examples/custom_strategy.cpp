@@ -10,9 +10,10 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "game/collection_game.h"
 #include "game/lagrangian.h"
 #include "game/quality.h"
+#include "game/score_model.h"
+#include "game/session.h"
 #include "game/strategies.h"
 
 namespace {
@@ -84,9 +85,11 @@ int main() {
                               /*penalty_rounds=*/3);
   DefectShareQuality quality(0.90, 0.99);
 
-  ScalarCollectionGame game(config, &benign_pool, &collector, &adversary,
-                            &quality);
-  auto summary = game.Run();
+  // A custom strategy is wired straight into the engine: the score model
+  // serves the data setting, the session plays the rounds.
+  IdentityScoreModel model(&benign_pool);
+  TrimmingSession session(config, &model, &collector, &adversary, &quality);
+  auto summary = session.RunToCompletion();
   if (!summary.ok()) {
     std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
     return 1;

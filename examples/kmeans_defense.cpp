@@ -1,14 +1,15 @@
 // Example: protecting a k-means pipeline on the Control workload.
 //
 // Reproduces a single cell of the Fig 4 experiment end to end with the
-// public API: generate the dataset, run the online collection game with a
-// chosen defense, train k-means on the sanitized data, and compare against
-// the clean model.
+// public API: generate the dataset, build each defense scheme's session
+// from a TenantSpec, play the online collection game, train k-means on the
+// sanitized data, and compare against the clean model.
 #include <cstdio>
 #include <string>
 
 #include "data/generators.h"
 #include "exp/schemes.h"
+#include "fleet/tenant.h"
 #include "game/score_model.h"
 #include "ml/kmeans.h"
 #include "stats/metrics.h"
@@ -37,32 +38,43 @@ int main(int argc, char** argv) {
   std::printf("%-16s %12s %12s %14s %14s\n", "scheme", "eval SSE",
               "distance", "poison kept", "benign lost");
   for (SchemeId id : PlottedSchemes()) {
-    SchemeInstance scheme = MakeScheme(id, 0.9);
-    GameConfig config;
-    config.rounds = 20;
-    config.round_size = 150;
-    config.attack_ratio = attack_ratio;
-    config.tth = 0.9;
-    config.round_mass_trimming = true;  // the Fig 4 pipeline semantics
-    config.seed = 7;
-    DistanceScoreModel game_model(&control);
-    auto summary = RunSchemeSession(config, &scheme, &game_model);
+    const std::string name = SchemeName(id);
+    TenantSpec spec;
+    spec.model = ModelKind::kDistance;
+    spec.scheme = id;
+    spec.game.rounds = 20;
+    spec.game.round_size = 150;
+    spec.game.attack_ratio = attack_ratio;
+    spec.game.tth = 0.9;
+    spec.game.round_mass_trimming = true;  // the Fig 4 pipeline semantics
+    spec.game.seed = 7;
+    spec.retain_survivors = true;  // k-means trains on the survivors
+    spec.dataset = &control;
+    auto tenant = MaterializeTenant(spec, spec.game.seed);
+    if (!tenant.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                   tenant.status().ToString().c_str());
+      return 1;
+    }
+    auto summary = tenant->session->RunToCompletion();
     if (!summary.ok()) {
-      std::fprintf(stderr, "%s: %s\n", scheme.name.c_str(),
+      std::fprintf(stderr, "%s: %s\n", name.c_str(),
                    summary.status().ToString().c_str());
       return 1;
     }
-    auto model = KMeans(game_model.retained_data().rows, km);
+    const auto& survivors =
+        static_cast<const DistanceScoreModel&>(*tenant->model).retained_data();
+    auto model = KMeans(survivors.rows, km);
     if (!model.ok()) {
-      std::fprintf(stderr, "%s: %s\n", scheme.name.c_str(),
+      std::fprintf(stderr, "%s: %s\n", name.c_str(),
                    model.status().ToString().c_str());
       return 1;
     }
     double sse = EvaluateSse(control.rows, model->centroids);
     double dist =
         CentroidSetDistance(model->centroids, groundtruth->centroids);
-    std::printf("%-16s %12.1f %12.4f %13.1f%% %13.1f%%\n",
-                scheme.name.c_str(), sse, dist,
+    std::printf("%-16s %12.1f %12.4f %13.1f%% %13.1f%%\n", name.c_str(), sse,
+                dist,
                 100.0 * summary->UntrimmedPoisonFraction(),
                 100.0 * summary->BenignLossFraction());
   }

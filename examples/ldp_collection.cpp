@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   PiecewiseMechanism mechanism(epsilon);
   InputManipulationAttack attack(/*fake_input=*/1.0);
 
-  LdpGameConfig config;
+  GameConfig config;
   config.rounds = 10;
-  config.users_per_round = 2000;
+  config.round_size = 2000;  // honest users per round
   config.attack_ratio = 0.15;
   config.tth = 0.9;
   config.bootstrap_size = 2000;

@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "data/generators.h"
 #include "exp/score_model_factory.h"
+#include "fleet/tenant.h"
 #include "game/score_model.h"
 #include "game/session.h"
 #include "ldp/attacks.h"
@@ -39,6 +40,21 @@ GameConfig MakeGameConfig(int rounds, size_t round_size, double attack_ratio,
   g.round_mass_trimming = round_mass_trimming;
   g.seed = seed;
   return g;
+}
+
+// Declares one scheme-driven arm of the ML experiments: `id` plays over the
+// distance model of `data`, keeping its survivors for the model fit.
+TenantSpec DistanceArmSpec(const Dataset* data, SchemeId id,
+                           const SchemeOptions& options,
+                           const GameConfig& game) {
+  TenantSpec spec;
+  spec.model = ModelKind::kDistance;
+  spec.scheme = id;
+  spec.scheme_options = options;
+  spec.game = game;
+  spec.retain_survivors = true;
+  spec.dataset = data;
+  return spec;
 }
 
 // Runs `body(arm)` for every arm in [0, n) across `threads` jobs and
@@ -128,21 +144,18 @@ Result<KmeansExperimentResult> RunKmeansExperiment(
 
         SchemeOptions opts;
         opts.seed = config.seed + static_cast<uint64_t>(rep) * 7919;
-        SchemeInstance scheme = MakeScheme(id, config.tth, opts);
         GameConfig game_config = MakeGameConfig(
             config.rounds, config.round_size, ratio, config.tth,
             config.seed + static_cast<uint64_t>(rep) * 104729 +
                 static_cast<uint64_t>(id) * 31 +
                 static_cast<uint64_t>(ratio * 10000.0) * 131);
-        // Experiments go through the factory-driven scheme runner (the
-        // batch adapters are bit-identical sugar over the same session).
-        std::unique_ptr<ScoreModel> game_model;
-        ITRIM_RETURN_NOT_OK(
-            RunSchemeSession(game_config, &scheme, ModelKind::kDistance,
-                             DistanceInputs(&data), &game_model)
-                .status());
+        ITRIM_ASSIGN_OR_RETURN(
+            Tenant tenant,
+            MaterializeTenant(DistanceArmSpec(&data, id, opts, game_config),
+                              game_config.seed));
+        ITRIM_RETURN_NOT_OK(tenant.session->RunToCompletion().status());
         const Dataset& retained =
-            static_cast<const DistanceScoreModel&>(*game_model)
+            static_cast<const DistanceScoreModel&>(*tenant.model)
                 .retained_data();
         if (retained.rows.size() < km.k) {
           return Status::Internal("scheme " + SchemeName(id) +
@@ -224,21 +237,20 @@ Result<SvmExperimentResult> RunSvmExperiment(const SvmExperimentConfig& c) {
 
         SchemeOptions opts;
         opts.seed = c.seed + static_cast<uint64_t>(rep) * 7919;
-        SchemeInstance scheme = MakeScheme(id, c.tth, opts);
         GameConfig game_config = MakeGameConfig(
             c.rounds, c.round_size, c.attack_ratio, c.tth,
             c.seed + static_cast<uint64_t>(rep) * 104729 +
                 static_cast<uint64_t>(id) * 61);
-        std::unique_ptr<ScoreModel> game_model;
-        ITRIM_RETURN_NOT_OK(
-            RunSchemeSession(game_config, &scheme, ModelKind::kDistance,
-                             DistanceInputs(&data), &game_model)
-                .status());
+        ITRIM_ASSIGN_OR_RETURN(
+            Tenant tenant,
+            MaterializeTenant(DistanceArmSpec(&data, id, opts, game_config),
+                              game_config.seed));
+        ITRIM_RETURN_NOT_OK(tenant.session->RunToCompletion().status());
         LinearSvm model;
         ITRIM_ASSIGN_OR_RETURN(
             model,
             LinearSvm::Train(static_cast<const DistanceScoreModel&>(
-                                 *game_model)
+                                 *tenant.model)
                                  .retained_data(),
                              svm_config));
         arms[arm].accuracy = model.Evaluate(data);
@@ -307,19 +319,18 @@ Result<SomExperimentResult> RunSomExperiment(const SomExperimentConfig& c) {
         SchemeOptions opts;
         opts.seed = c.seed * 3 + static_cast<uint64_t>(id) +
                     static_cast<uint64_t>(rep) * 7919;
-        SchemeInstance scheme = MakeScheme(id, c.tth, opts);
         GameConfig game_config = MakeGameConfig(
             c.rounds, c.round_size, c.attack_ratio, c.tth,
             c.seed + static_cast<uint64_t>(id) * 101 +
                 static_cast<uint64_t>(rep) * 104729);
-        std::unique_ptr<ScoreModel> game_model_owner;
-        GameSummary summary;
         ITRIM_ASSIGN_OR_RETURN(
-            summary,
-            RunSchemeSession(game_config, &scheme, ModelKind::kDistance,
-                             DistanceInputs(&data), &game_model_owner));
+            Tenant tenant,
+            MaterializeTenant(DistanceArmSpec(&data, id, opts, game_config),
+                              game_config.seed));
+        ITRIM_ASSIGN_OR_RETURN(GameSummary summary,
+                               tenant.session->RunToCompletion());
         const auto& game_model =
-            static_cast<const DistanceScoreModel&>(*game_model_owner);
+            static_cast<const DistanceScoreModel&>(*tenant.model);
 
         arms[arm].untrimmed_poison_fraction =
             summary.UntrimmedPoisonFraction();
@@ -409,10 +420,8 @@ Result<std::vector<NonEquilibriumRow>> RunNonEquilibriumExperiment(
         NoisyDefectShareQuality quality(
             0.90, 0.99, config.sigma0, config.sigma_tail, seed ^ 0xBEEF,
             DefectShareQuality::CutoffMode::kAbsolute);
-        ITRIM_ASSIGN_OR_RETURN(
-            std::unique_ptr<ScoreModel> model_tft,
-            MakeScoreModel(ModelKind::kDistance, DistanceInputs(&data)));
-        TrimmingSession game_tft(game_config, model_tft.get(), &titfortat,
+        DistanceScoreModel model_tft(&data);
+        TrimmingSession game_tft(game_config, &model_tft, &titfortat,
                                  &adversary_tft, &quality);
         GameSummary tft;
         ITRIM_ASSIGN_OR_RETURN(tft, game_tft.RunToCompletion());
@@ -427,10 +436,8 @@ Result<std::vector<NonEquilibriumRow>> RunNonEquilibriumExperiment(
         MixedPercentileAdversary adversary_ela(p);
         GameConfig elastic_config = game_config;
         elastic_config.seed = seed ^ 0xD00D;
-        ITRIM_ASSIGN_OR_RETURN(
-            std::unique_ptr<ScoreModel> model_ela,
-            MakeScoreModel(ModelKind::kDistance, DistanceInputs(&data)));
-        TrimmingSession game_ela(elastic_config, model_ela.get(), &elastic,
+        DistanceScoreModel model_ela(&data);
+        TrimmingSession game_ela(elastic_config, &model_ela, &elastic,
                                  &adversary_ela, nullptr);
         GameSummary ela;
         ITRIM_ASSIGN_OR_RETURN(ela, game_ela.RunToCompletion());
@@ -528,9 +535,9 @@ Result<LdpExperimentResult> RunLdpExperiment(const LdpExperimentConfig& c) {
 
         std::unique_ptr<LdpMechanism> mechanism;
         ITRIM_ASSIGN_OR_RETURN(mechanism, MakeMechanism(c.mechanism, eps));
-        LdpGameConfig game_config;
+        GameConfig game_config;
         game_config.rounds = c.rounds;
-        game_config.users_per_round = c.users_per_round;
+        game_config.round_size = c.users_per_round;
         game_config.attack_ratio = c.attack_ratio;
         game_config.tth = c.tth;
         game_config.bootstrap_size = c.users_per_round;

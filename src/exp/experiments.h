@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "exp/schemes.h"
-#include "game/collection_game.h"
 #include "ml/kmeans.h"
 
 namespace itrim {

@@ -1,7 +1,5 @@
 #include "exp/schemes.h"
 
-#include "game/score_model.h"
-
 namespace itrim {
 
 std::string SchemeName(SchemeId id) {
@@ -74,37 +72,11 @@ SchemeInstance MakeScheme(SchemeId id, double tth,
   return s;
 }
 
-Result<GameSummary> RunSchemeSession(const GameConfig& config,
-                                     SchemeInstance* scheme,
-                                     ScoreModel* model,
-                                     ReferencePolicy* reference) {
-  TrimmingSession session(config, model, scheme->collector.get(),
-                          scheme->adversary.get(), scheme->quality.get(),
-                          reference);
-  return session.RunToCompletion();
-}
-
-Result<GameSummary> RunSchemeSession(const GameConfig& config,
-                                     SchemeInstance* scheme, ModelKind kind,
-                                     const ScoreModelInputs& inputs,
-                                     std::unique_ptr<ScoreModel>* model_out,
-                                     ReferencePolicy* reference) {
-  ITRIM_ASSIGN_OR_RETURN(std::unique_ptr<ScoreModel> model,
-                         MakeScoreModel(kind, inputs));
-  ITRIM_ASSIGN_OR_RETURN(
-      GameSummary summary,
-      RunSchemeSession(config, scheme, model.get(), reference));
-  if (model_out != nullptr) *model_out = std::move(model);
-  return summary;
-}
-
 std::vector<SchemeId> PlottedSchemes() {
   return {SchemeId::kOstrich,    SchemeId::kBaseline09,
           SchemeId::kBaselineStatic, SchemeId::kTitfortat,
           SchemeId::kElastic01,  SchemeId::kElastic05};
 }
-
-std::vector<SchemeId> DefenseSchemes() { return PlottedSchemes(); }
 
 std::vector<SchemeId> AllSchemes() {
   std::vector<SchemeId> all = {SchemeId::kGroundtruth};

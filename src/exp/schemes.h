@@ -17,15 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-#include "exp/score_model_factory.h"
 #include "game/quality.h"
-#include "game/session.h"
 #include "game/strategies.h"
 
 namespace itrim {
-
-class ReferencePolicy;
 
 /// \brief Identifier of an evaluation scheme.
 enum class SchemeId {
@@ -65,35 +60,12 @@ struct SchemeOptions {
 SchemeInstance MakeScheme(SchemeId id, double tth,
                           const SchemeOptions& options = {});
 
-/// \brief Plays `scheme` over `model` through a TrimmingSession — the
-/// round-loop shape every experiment pipeline uses. The scheme's strategy
-/// objects are Reset() by the session; `model` keeps the retained
-/// (sanitized) output for the caller. `reference` optionally swaps the
-/// trim reference policy (borrowed; null plays the percentile default).
-Result<GameSummary> RunSchemeSession(const GameConfig& config,
-                                     SchemeInstance* scheme,
-                                     ScoreModel* model,
-                                     ReferencePolicy* reference = nullptr);
-
-/// \brief Factory-driven variant: builds the score model from
-/// (kind, inputs) via MakeScoreModel, plays the scheme, and hands the
-/// model back through `model_out` (when non-null) so the caller can read
-/// its retained output.
-Result<GameSummary> RunSchemeSession(
-    const GameConfig& config, SchemeInstance* scheme, ModelKind kind,
-    const ScoreModelInputs& inputs,
-    std::unique_ptr<ScoreModel>* model_out = nullptr,
-    ReferencePolicy* reference = nullptr);
-
 /// \brief All six plotted schemes, in the paper's legend order.
 std::vector<SchemeId> PlottedSchemes();
 
 /// \brief Every scheme including Groundtruth (fleet tenant populations
 /// cycle through these to mix strategy pairs).
 std::vector<SchemeId> AllSchemes();
-
-/// \brief The defense schemes only (no Groundtruth).
-std::vector<SchemeId> DefenseSchemes();
 
 }  // namespace itrim
 

@@ -61,26 +61,6 @@ Status ValidateScoreModelInputs(ModelKind kind,
 Result<std::unique_ptr<ScoreModel>> MakeScoreModel(
     ModelKind kind, const ScoreModelInputs& inputs);
 
-// Convenience input builders for the common single-source call sites.
-inline ScoreModelInputs ScalarInputs(const std::vector<double>* pool) {
-  ScoreModelInputs inputs;
-  inputs.scalar_pool = pool;
-  return inputs;
-}
-inline ScoreModelInputs DistanceInputs(const Dataset* dataset) {
-  ScoreModelInputs inputs;
-  inputs.dataset = dataset;
-  return inputs;
-}
-inline ScoreModelInputs RegressionInputs(
-    const RegressionData* regression,
-    PoisonShape poison = PoisonShape::kFlipShift) {
-  ScoreModelInputs inputs;
-  inputs.regression = regression;
-  inputs.regression_poison = poison;
-  return inputs;
-}
-
 }  // namespace itrim
 
 #endif  // ITRIM_EXP_SCORE_MODEL_FACTORY_H_

@@ -1,6 +1,7 @@
 #include "fleet/session_fleet.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -190,7 +191,8 @@ Result<std::vector<RoundRecord>> SessionFleet::TenantRounds(size_t i) const {
                               " out of range");
   }
   if (tenants_[i].resident()) {
-    return tenants_[i].session->round_log().ToVector();
+    std::span<const RoundRecord> records = tenants_[i].session->records();
+    return std::vector<RoundRecord>(records.begin(), records.end());
   }
   if (tenants_[i].hibernated != nullptr) {
     return tenants_[i].hibernated->checkpoint.records;
@@ -357,7 +359,7 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
   }
   // Lockstep stepping means every session must carry exactly the rounds
   // the fleet played; a checkpoint violating that (hand-edited, corrupted,
-  // or from a non-lockstep source) would index past round_log() below.
+  // or from a non-lockstep source) would index past records() below.
   if (checkpoint.next_round < 1) {
     return Status::InvalidArgument("checkpoint next_round must be >= 1");
   }
@@ -451,7 +453,7 @@ void SessionFleet::RebuildAggregates() {
   std::vector<RoundRecord> row(tenants_.size());
   for (size_t r = 0; r < rounds_played; ++r) {
     for (size_t i = 0; i < tenants_.size(); ++i) {
-      row[i] = tenants_[i].session->round_log().Get(r);
+      row[i] = tenants_[i].session->records()[r];
     }
     round_aggregates_.push_back(ReduceRound(static_cast<int>(r) + 1, row));
   }

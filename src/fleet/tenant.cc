@@ -77,9 +77,10 @@ Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed) {
   ScoreModelInputs inputs = spec.ModelInputs();
   inputs.ldp_tth = tenant.config.tth;
   if (spec.model == TenantModelKind::kLdp) {
-    // Poison is materialized by the attack; the session runs without an
-    // AdversaryStrategy, exactly like the LdpCollectionGame path (an
-    // adversary would consume RNG draws the LDP stream never did).
+    // Poison is materialized by the attack, so the session runs without an
+    // AdversaryStrategy (one would consume RNG draws the LDP report stream
+    // never makes). LdpCollectionGame::RunTrimming wires its hand-built
+    // session the same way.
     adversary = nullptr;
     // The symmetric band trim is defined against the board reference.
     tenant.config.round_mass_trimming = false;

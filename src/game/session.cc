@@ -16,8 +16,8 @@ namespace itrim {
 Status GameConfig::Validate() const {
   if (rounds < 1) return Status::InvalidArgument("rounds must be >= 1");
   if (round_size == 0) return Status::InvalidArgument("round_size must be > 0");
-  if (attack_ratio < 0.0) {
-    return Status::InvalidArgument("attack_ratio must be >= 0");
+  if (!(attack_ratio >= 0.0 && std::isfinite(attack_ratio))) {
+    return Status::InvalidArgument("attack_ratio must be finite and >= 0");
   }
   if (!(tth > 0.0 && tth < 1.0)) {
     return Status::InvalidArgument("tth must be in (0,1)");
@@ -26,69 +26,6 @@ Status GameConfig::Validate() const {
     return Status::InvalidArgument("bootstrap_size must be > 0");
   }
   return Status::OK();
-}
-
-void RoundLog::Clear() {
-  round_.clear();
-  collector_percentile_.clear();
-  injection_percentile_.clear();
-  cutoff_.clear();
-  quality_.clear();
-  benign_received_.clear();
-  poison_received_.clear();
-  benign_kept_.clear();
-  poison_kept_.clear();
-}
-
-void RoundLog::Reserve(size_t n) {
-  round_.reserve(n);
-  collector_percentile_.reserve(n);
-  injection_percentile_.reserve(n);
-  cutoff_.reserve(n);
-  quality_.reserve(n);
-  benign_received_.reserve(n);
-  poison_received_.reserve(n);
-  benign_kept_.reserve(n);
-  poison_kept_.reserve(n);
-}
-
-void RoundLog::Append(const RoundRecord& record) {
-  round_.push_back(record.round);
-  collector_percentile_.push_back(record.collector_percentile);
-  injection_percentile_.push_back(record.injection_percentile);
-  cutoff_.push_back(record.cutoff);
-  quality_.push_back(record.quality);
-  benign_received_.push_back(record.benign_received);
-  poison_received_.push_back(record.poison_received);
-  benign_kept_.push_back(record.benign_kept);
-  poison_kept_.push_back(record.poison_kept);
-}
-
-void RoundLog::Assign(const std::vector<RoundRecord>& records) {
-  Clear();
-  Reserve(records.size());
-  for (const RoundRecord& record : records) Append(record);
-}
-
-RoundRecord RoundLog::Get(size_t i) const {
-  RoundRecord record;
-  record.round = round_[i];
-  record.collector_percentile = collector_percentile_[i];
-  record.injection_percentile = injection_percentile_[i];
-  record.cutoff = cutoff_[i];
-  record.quality = quality_[i];
-  record.benign_received = benign_received_[i];
-  record.poison_received = poison_received_[i];
-  record.benign_kept = benign_kept_[i];
-  record.poison_kept = poison_kept_[i];
-  return record;
-}
-
-std::vector<RoundRecord> RoundLog::ToVector() const {
-  std::vector<RoundRecord> out;
-  out.reserve(size());
-  for (size_t i = 0; i < size(); ++i) out.push_back(Get(i));
-  return out;
 }
 
 double GameSummary::UntrimmedPoisonFraction() const {
@@ -235,11 +172,11 @@ Status TrimmingSession::Bootstrap() {
   have_prev_ = false;
   poison_quota_ = 0.0;
   next_round_ = 1;
-  records_.Clear();
+  records_.clear();
   // Pre-size the per-round book so steady-state Steps within the
   // configured horizon never reallocate it (open-ended streams beyond
   // config().rounds fall back to amortized growth).
-  records_.Reserve(static_cast<size_t>(config_.rounds));
+  records_.reserve(static_cast<size_t>(config_.rounds));
   bootstrapped_ = true;
   return Status::OK();
 }
@@ -336,7 +273,7 @@ Result<RoundRecord> TrimmingSession::Step() {
     }
   }
   model_->Commit(outcome.keep);
-  records_.Append(record);
+  records_.push_back(record);
   if (obs_.metrics != nullptr || obs_.trace != nullptr) {
     RecordRoundObservability(record, outcome.removed_count, used_reference);
   }
@@ -387,7 +324,7 @@ void TrimmingSession::RecordRoundObservability(const RoundRecord& record,
 
 GameSummary TrimmingSession::Finish() const {
   GameSummary summary;
-  summary.rounds = records_.ToVector();
+  summary.rounds = records_;
   summary.termination_round = collector_->termination_round();
   return summary;
 }
@@ -407,7 +344,7 @@ SessionCheckpoint TrimmingSession::Checkpoint() const {
   cp.poison_quota = poison_quota_;
   cp.have_prev = have_prev_;
   cp.prev = prev_;
-  cp.records = records_.ToVector();
+  cp.records = records_;
   cp.rng = rng_.Save();
   return cp;
 }
@@ -419,7 +356,7 @@ Status TrimmingSession::Restore(const SessionCheckpoint& checkpoint) {
   // Then jump the stream state forward to the checkpoint.
   ITRIM_RETURN_NOT_OK(Bootstrap());
   rng_.Restore(checkpoint.rng);
-  records_.Assign(checkpoint.records);
+  records_ = checkpoint.records;
   // Strategy state is a function of the observation history for all the
   // paper's strategies; replaying the records reconstructs it exactly.
   for (const RoundRecord& record : checkpoint.records) {

@@ -12,10 +12,11 @@
 // (game/score_model.h): the 1-D LDP/Taxi setting, the d-dimensional
 // k-means/SVM/SOM setting, and the perturbed-report LDP setting differ only
 // in how payloads are generated, scored and reference-trimmed, never in the
-// round protocol. The batch ScalarCollectionGame / DistanceCollectionGame
-// classes (game/collection_game.h) are thin adapters over this engine and
-// reproduce the seed implementation's GameSummary bit for bit at fixed
-// seed (asserted by tests/game/session_test.cc).
+// round protocol. Sessions are built one of two ways: by hand, for callers
+// that bring their own strategies, or from a scheme through TenantSpec ->
+// MaterializeTenant (fleet/tenant.h). Both reproduce the seed
+// implementation's GameSummary bit for bit at fixed seed (asserted by
+// tests/game/session_test.cc).
 //
 // Sessions are checkpointable: Checkpoint() captures the full interaction
 // state (round counter, poison quota, RNG, per-round records) and Restore()
@@ -96,55 +97,6 @@ struct RoundRecord {
   size_t poison_kept = 0;
 };
 
-/// \brief Structure-of-arrays store of the rounds a session has played.
-///
-/// The per-round book is columnar: one flat vector per RoundRecord field.
-/// Consumers that scan one metric across the stream (fleet aggregation,
-/// telemetry reducers) read a contiguous column instead of striding
-/// through an array of structs; consumers that want one round materialize
-/// it with Get(). Append order is round order.
-class RoundLog {
- public:
-  void Clear();
-  void Reserve(size_t n);
-  void Append(const RoundRecord& record);
-  /// \brief Replaces the contents with `records` (checkpoint restore).
-  void Assign(const std::vector<RoundRecord>& records);
-
-  size_t size() const { return round_.size(); }
-  bool empty() const { return round_.empty(); }
-  /// \brief Materializes round i (0-based append index) as a RoundRecord.
-  RoundRecord Get(size_t i) const;
-  /// \brief Materializes every round, in order (GameSummary/checkpoints).
-  std::vector<RoundRecord> ToVector() const;
-
-  // Column views, each parallel to the others (index = append order).
-  std::span<const int> rounds() const { return round_; }
-  std::span<const double> collector_percentiles() const {
-    return collector_percentile_;
-  }
-  std::span<const double> injection_percentiles() const {
-    return injection_percentile_;
-  }
-  std::span<const double> cutoffs() const { return cutoff_; }
-  std::span<const double> qualities() const { return quality_; }
-  std::span<const size_t> benign_received() const { return benign_received_; }
-  std::span<const size_t> poison_received() const { return poison_received_; }
-  std::span<const size_t> benign_kept() const { return benign_kept_; }
-  std::span<const size_t> poison_kept() const { return poison_kept_; }
-
- private:
-  std::vector<int> round_;
-  std::vector<double> collector_percentile_;
-  std::vector<double> injection_percentile_;
-  std::vector<double> cutoff_;
-  std::vector<double> quality_;
-  std::vector<size_t> benign_received_;
-  std::vector<size_t> poison_received_;
-  std::vector<size_t> benign_kept_;
-  std::vector<size_t> poison_kept_;
-};
-
 /// \brief Outcome of a full game run.
 struct GameSummary {
   std::vector<RoundRecord> rounds;
@@ -204,7 +156,7 @@ class TrimmingSession {
   /// \brief Plays the next round and returns its record. Requires a
   /// successful Bootstrap(); may be called past config().rounds (the
   /// session is an open-ended stream — the configured count only bounds
-  /// the batch adapters).
+  /// RunToCompletion()).
   Result<RoundRecord> Step();
 
   /// \brief Summary of everything played so far (termination round from
@@ -232,9 +184,8 @@ class TrimmingSession {
 
   const GameConfig& config() const { return config_; }
   const PublicBoard& board() const { return board_; }
-  /// \brief Columnar book of every round played so far, in round order
-  /// (materialize individual rounds with RoundLog::Get()).
-  const RoundLog& round_log() const { return records_; }
+  /// \brief Every round played so far, in round order.
+  std::span<const RoundRecord> records() const { return records_; }
   /// \brief 1-based index of the next round Step() would play.
   int next_round() const { return next_round_; }
   bool bootstrapped() const { return bootstrapped_; }
@@ -258,7 +209,7 @@ class TrimmingSession {
   int next_round_ = 1;
   bool bootstrapped_ = false;
   SessionObs obs_;
-  RoundLog records_;
+  std::vector<RoundRecord> records_;
   // Round-loop scratch, reused across Step() calls so the steady state
   // never touches the heap (tests/game/zero_alloc_test.cc holds the line).
   TrimOutcome trim_scratch_;

@@ -14,51 +14,15 @@
 
 namespace itrim {
 
-Status LdpGameConfig::Validate() const {
-  if (rounds < 1) return Status::InvalidArgument("rounds must be >= 1");
-  if (users_per_round == 0) {
-    return Status::InvalidArgument("users_per_round must be > 0");
-  }
-  if (attack_ratio < 0.0) {
-    return Status::InvalidArgument("attack_ratio must be >= 0");
-  }
-  if (!(tth > 0.0 && tth < 1.0)) {
-    return Status::InvalidArgument("tth must be in (0,1)");
-  }
-  if (bootstrap_size == 0) {
-    return Status::InvalidArgument("bootstrap_size must be > 0");
-  }
-  return Status::OK();
-}
-
-namespace {
-
-// The LDP ScoreModel lives in ldp/report_score_model.h so fleet tenants
-// can instantiate it too; this file only maps configs and estimators.
-
-// Maps the LDP configuration onto the shared engine configuration.
-GameConfig SessionConfig(const LdpGameConfig& config) {
-  GameConfig g;
-  g.rounds = config.rounds;
-  g.round_size = config.users_per_round;
-  g.attack_ratio = config.attack_ratio;
-  g.tth = config.tth;
-  g.bootstrap_size = config.bootstrap_size;
-  g.board_capacity = config.board_capacity;
-  g.round_mass_trimming = false;
-  g.seed = config.seed;
-  return g;
-}
-
-}  // namespace
-
-LdpCollectionGame::LdpCollectionGame(LdpGameConfig config,
+LdpCollectionGame::LdpCollectionGame(GameConfig config,
                                      const std::vector<double>* population,
                                      const LdpMechanism* mechanism,
                                      LdpAttack* attack)
     : config_(config), config_status_(config.Validate()),
       population_(population), mechanism_(mechanism), attack_(attack) {
   assert(population != nullptr && mechanism != nullptr && attack != nullptr);
+  // The symmetric band trim is defined against the board reference.
+  config_.round_mass_trimming = false;
 }
 
 double LdpCollectionGame::TrueMean() const { return Mean(*population_); }
@@ -77,12 +41,12 @@ void LdpCollectionGame::ReportBounds(double* lo, double* hi) const {
 void LdpCollectionGame::GenerateRound(Rng* rng, std::vector<double>* reports,
                                       std::vector<char>* is_poison) const {
   const size_t attackers = static_cast<size_t>(std::llround(
-      config_.attack_ratio * static_cast<double>(config_.users_per_round)));
+      config_.attack_ratio * static_cast<double>(config_.round_size)));
   reports->clear();
   is_poison->clear();
-  reports->reserve(config_.users_per_round + attackers);
-  is_poison->reserve(config_.users_per_round + attackers);
-  for (size_t i = 0; i < config_.users_per_round; ++i) {
+  reports->reserve(config_.round_size + attackers);
+  is_poison->reserve(config_.round_size + attackers);
+  for (size_t i = 0; i < config_.round_size; ++i) {
     double x = (*population_)[rng->UniformInt(population_->size())];
     reports->push_back(mechanism_->Perturb(x, rng));
     is_poison->push_back(0);
@@ -97,8 +61,8 @@ Result<LdpRunResult> LdpCollectionGame::RunTrimming(
     CollectorStrategy* collector, QualityEvaluation* quality) {
   ITRIM_RETURN_NOT_OK(config_status_);
   LdpReportScoreModel model(population_, mechanism_, attack_, config_.tth);
-  TrimmingSession session(SessionConfig(config_), &model, collector,
-                          /*adversary=*/nullptr, quality);
+  TrimmingSession session(config_, &model, collector, /*adversary=*/nullptr,
+                          quality);
   LdpRunResult result;
   ITRIM_ASSIGN_OR_RETURN(result.game, session.RunToCompletion());
   result.true_mean = TrueMean();

@@ -17,26 +17,14 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "game/collection_game.h"
+#include "game/quality.h"
+#include "game/session.h"
 #include "game/strategies.h"
 #include "ldp/attacks.h"
 #include "ldp/emf.h"
 #include "ldp/mechanism.h"
 
 namespace itrim {
-
-/// \brief LDP game configuration.
-struct LdpGameConfig {
-  int rounds = 20;
-  size_t users_per_round = 1000;  ///< honest users per round
-  double attack_ratio = 0.1;      ///< attackers per honest user
-  double tth = 0.9;               ///< nominal trim percentile of reports
-  size_t bootstrap_size = 1000;   ///< clean report sample seeding the board
-  size_t board_capacity = 20000;
-  uint64_t seed = 99;
-
-  Status Validate() const;
-};
 
 /// \brief Outcome of one LDP collection run.
 struct LdpRunResult {
@@ -56,13 +44,17 @@ struct LdpRunResult {
 /// scores, poison comes from the LdpAttack (no percentile guidance), the
 /// recorded injection position is the collector-side tail estimate, and
 /// trimming keeps the symmetric [1 - q, q] report-percentile band.
+///
+/// The game speaks the shared GameConfig: `round_size` honest users report
+/// each round, joined by attack_ratio * round_size attackers. The band
+/// trim is defined against the board reference, so `round_mass_trimming`
+/// is ignored (as for fleet tenants of kind kLdp).
 class LdpCollectionGame {
  public:
   /// `population` supplies true values in [-1, 1] (sampled with
   /// replacement); all pointers are borrowed. The configuration is
   /// validated here; every Run* surfaces the validation Status.
-  LdpCollectionGame(LdpGameConfig config,
-                    const std::vector<double>* population,
+  LdpCollectionGame(GameConfig config, const std::vector<double>* population,
                     const LdpMechanism* mechanism, LdpAttack* attack);
 
   /// \brief Runs with an interactive-trimming defense. `quality` may be
@@ -84,7 +76,7 @@ class LdpCollectionGame {
   /// Report-domain bounds for histogramming (finite even for Laplace).
   void ReportBounds(double* lo, double* hi) const;
 
-  LdpGameConfig config_;
+  GameConfig config_;
   Status config_status_;
   const std::vector<double>* population_;
   const LdpMechanism* mechanism_;

@@ -1,5 +1,8 @@
-// ScoreModel of the LDP setting (Section V case study), shared by the
-// LdpCollectionGame trimming path and fleet tenants of kind kLdp.
+// ScoreModel of the LDP setting (Section V case study), shared by both ways
+// of building an LDP session: MaterializeTenant for a tenant of kind kLdp,
+// and LdpCollectionGame::RunTrimming, which wires a TrimmingSession by hand
+// for collectors and quality evaluations that are not schemes (Fig 9's
+// TailMassQuality).
 //
 // Honest perturbed reports are the scores, poison reports come from the
 // manipulation attack (which ignores the engine's percentile guidance — the

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "game/collection_game.h"
+#include "game/score_model.h"
+#include "game/session.h"
 
 namespace itrim {
 namespace {
@@ -27,8 +28,9 @@ TEST(ProbingAdversaryTest, BinarySearchAgainstStaticThreshold) {
   config.seed = 3;
   StaticCollector collector(0.9, "static");
   ProbingAdversary adversary(0.5, 1.0);
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_NEAR(adversary.bracket_lo(), 0.9, 0.03);
   // Late rounds should be injecting just below the threshold (surviving).
   size_t late_kept = 0, late_received = 0;
@@ -54,13 +56,15 @@ TEST(ProbingAdversaryTest, RecoversIdealAttackUtility) {
 
   StaticCollector c1(0.9, "static");
   ThresholdOffsetAdversary white_box(-0.01);
-  ScalarCollectionGame g1(config, &pool, &c1, &white_box, nullptr);
-  double ideal = g1.Run().ValueOrDie().PoisonSurvivalRate();
+  IdentityScoreModel g1_model(&pool);
+  TrimmingSession g1(config, &g1_model, &c1, &white_box, nullptr);
+  double ideal = g1.RunToCompletion().ValueOrDie().PoisonSurvivalRate();
 
   StaticCollector c2(0.9, "static");
   ProbingAdversary black_box(0.5, 1.0);
-  ScalarCollectionGame g2(config, &pool, &c2, &black_box, nullptr);
-  double probed = g2.Run().ValueOrDie().PoisonSurvivalRate();
+  IdentityScoreModel g2_model(&pool);
+  TrimmingSession g2(config, &g2_model, &c2, &black_box, nullptr);
+  double probed = g2.RunToCompletion().ValueOrDie().PoisonSurvivalRate();
 
   EXPECT_GT(probed, 0.5 * ideal);   // learns most of the ideal utility
   EXPECT_LE(probed, ideal + 0.05);  // but cannot beat white-box knowledge
@@ -114,8 +118,9 @@ TEST(ProbingAdversaryTest, ChasesAdaptiveCollector) {
   config.seed = 11;
   ElasticCollector collector(0.5);
   ProbingAdversary adversary(0.5, 1.0);
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_GT(summary.PoisonSurvivalRate(), 0.2);
   EXPECT_LT(summary.BenignLossFraction(), 0.3);
 }

@@ -1,4 +1,7 @@
-#include "game/collection_game.h"
+// Whole-game tests of TrimmingSession::RunToCompletion over hand-wired
+// score models: bookkeeping identities, trim semantics, degenerate games
+// and the models' retained survivors, in the scalar and distance settings.
+#include "game/session.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +9,7 @@
 
 #include "common/rng.h"
 #include "data/generators.h"
+#include "game/score_model.h"
 
 namespace itrim {
 namespace {
@@ -51,9 +55,9 @@ TEST(ScalarGameTest, OstrichKeepsEverything) {
   auto pool = UniformPool(2000, 1);
   OstrichCollector collector;
   FixedPercentileAdversary adversary(0.99);
-  ScalarCollectionGame game(SmallConfig(), &pool, &collector, &adversary,
-                            nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(SmallConfig(), &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   ASSERT_EQ(summary.rounds.size(), 10u);
   for (const auto& r : summary.rounds) {
     EXPECT_EQ(r.benign_kept, r.benign_received);
@@ -69,9 +73,9 @@ TEST(ScalarGameTest, StaticThresholdBlocksHighPoison) {
   auto pool = UniformPool(2000, 2);
   StaticCollector collector(0.9, "static");
   FixedPercentileAdversary adversary(0.99);  // always above the cutoff
-  ScalarCollectionGame game(SmallConfig(), &pool, &collector, &adversary,
-                            nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(SmallConfig(), &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_DOUBLE_EQ(summary.PoisonSurvivalRate(), 0.0);
   // Static trimming pays ~10% benign loss every round.
   EXPECT_NEAR(summary.BenignLossFraction(), 0.1, 0.03);
@@ -81,9 +85,9 @@ TEST(ScalarGameTest, PoisonJustBelowThresholdEvades) {
   auto pool = UniformPool(2000, 3);
   StaticCollector collector(0.9, "static");
   ThresholdOffsetAdversary adversary(-0.01);  // the ideal attack
-  ScalarCollectionGame game(SmallConfig(), &pool, &collector, &adversary,
-                            nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(SmallConfig(), &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_GT(summary.PoisonSurvivalRate(), 0.95);
 }
 
@@ -93,12 +97,13 @@ TEST(ScalarGameTest, PoisonValueMatchesBoardQuantile) {
   FixedPercentileAdversary adversary(0.95);
   GameConfig config = SmallConfig();
   config.rounds = 1;
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   // With a uniform pool, the 95th-percentile poison value is ~0.95; every
   // retained poison flag should sit near it.
-  const auto& retained = game.retained();
-  const auto& is_poison = game.retained_is_poison();
+  const auto& retained = model.retained();
+  const auto& is_poison = model.retained_is_poison();
   for (size_t i = 0; i < retained.size(); ++i) {
     if (is_poison[i]) {
       EXPECT_NEAR(retained[i], 0.95, 0.05);
@@ -114,8 +119,9 @@ TEST(ScalarGameTest, DeterministicInSeed) {
     UniformRangeAdversary adversary(0.85, 1.0);  // some poison survives
     GameConfig config = SmallConfig();
     config.seed = seed;
-    ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-    return game.Run().ValueOrDie().UntrimmedPoisonFraction();
+    IdentityScoreModel model(&pool);
+    TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+    return game.RunToCompletion().ValueOrDie().UntrimmedPoisonFraction();
   };
   EXPECT_DOUBLE_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));
@@ -125,9 +131,9 @@ TEST(ScalarGameTest, EmptyPoolFails) {
   std::vector<double> pool;
   OstrichCollector collector;
   FixedPercentileAdversary adversary(0.9);
-  ScalarCollectionGame game(SmallConfig(), &pool, &collector, &adversary,
-                            nullptr);
-  EXPECT_FALSE(game.Run().ok());
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(SmallConfig(), &model, &collector, &adversary, nullptr);
+  EXPECT_FALSE(game.RunToCompletion().ok());
 }
 
 TEST(ScalarGameTest, ZeroAttackRatioMeansNoPoison) {
@@ -136,8 +142,9 @@ TEST(ScalarGameTest, ZeroAttackRatioMeansNoPoison) {
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
   config.attack_ratio = 0.0;
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_EQ(summary.TotalPoisonKept(), 0u);
   EXPECT_DOUBLE_EQ(summary.UntrimmedPoisonFraction(), 0.0);
   for (const auto& r : summary.rounds) {
@@ -152,8 +159,9 @@ TEST(ScalarGameTest, TitfortatTriggersOnBadQuality) {
   MixedPercentileAdversary adversary(0.0);  // pure defect play at the 90th
   DefectShareQuality quality(0.90, 0.99);
   GameConfig config = SmallConfig();
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, &quality);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, &quality);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_GT(summary.termination_round, 0);
   EXPECT_LE(summary.termination_round, 3);
 }
@@ -164,8 +172,9 @@ TEST(ScalarGameTest, RoundMassTrimmingRemovesExactFraction) {
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
   config.round_mass_trimming = true;
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   for (const auto& r : summary.rounds) {
     size_t received = r.benign_received + r.poison_received;
     size_t kept = r.benign_kept + r.poison_kept;
@@ -183,14 +192,15 @@ TEST(ScalarGameTest, DegenerateAllTrimmedGameHasDefinedFractions) {
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
   config.round_mass_trimming = true;
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   ASSERT_EQ(summary.TotalKept(), 0u);
   EXPECT_DOUBLE_EQ(summary.UntrimmedPoisonFraction(), 0.0);
   EXPECT_DOUBLE_EQ(summary.PoisonSurvivalRate(), 0.0);
   EXPECT_DOUBLE_EQ(summary.BenignLossFraction(), 1.0);
   EXPECT_FALSE(std::isnan(summary.UntrimmedPoisonFraction()));
-  EXPECT_TRUE(game.retained().empty());
+  EXPECT_TRUE(model.retained().empty());
 }
 
 // Regression: no poison received at all (attack_ratio 0) combined with
@@ -202,8 +212,9 @@ TEST(ScalarGameTest, AllTrimmedWithoutPoisonStillDefined) {
   GameConfig config = SmallConfig();
   config.round_mass_trimming = true;
   config.attack_ratio = 0.0;
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_EQ(summary.TotalKept(), 0u);
   EXPECT_DOUBLE_EQ(summary.UntrimmedPoisonFraction(), 0.0);
   EXPECT_DOUBLE_EQ(summary.PoisonSurvivalRate(), 0.0);
@@ -225,12 +236,13 @@ TEST(DistanceGameTest, RunsOnMultiDimData) {
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
   config.rounds = 5;
-  DistanceCollectionGame game(config, &data, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  DistanceScoreModel model(&data);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_EQ(summary.rounds.size(), 5u);
-  const Dataset& retained = game.retained_data();
+  const Dataset& retained = model.retained_data();
   EXPECT_GT(retained.rows.size(), 0u);
-  EXPECT_EQ(retained.rows.size(), game.retained_is_poison().size());
+  EXPECT_EQ(retained.rows.size(), model.retained_is_poison().size());
   EXPECT_EQ(retained.rows.size(), retained.labels.size());
   EXPECT_EQ(retained.dims(), data.dims());
   // Poison at the 99th-percentile distance is above the 90th cutoff.
@@ -243,11 +255,12 @@ TEST(DistanceGameTest, OstrichKeepsPoisonRows) {
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
   config.rounds = 5;
-  DistanceCollectionGame game(config, &data, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  DistanceScoreModel model(&data);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_DOUBLE_EQ(summary.PoisonSurvivalRate(), 1.0);
   // Poison labels must be in the valid class range.
-  const Dataset& retained = game.retained_data();
+  const Dataset& retained = model.retained_data();
   for (int label : retained.labels) {
     EXPECT_GE(label, 0);
     EXPECT_LT(label, static_cast<int>(data.num_clusters));
@@ -260,9 +273,10 @@ TEST(DistanceGameTest, ReferenceCentroidFromBootstrap) {
   FixedPercentileAdversary adversary(0.5);
   GameConfig config = SmallConfig();
   config.rounds = 2;
-  DistanceCollectionGame game(config, &data, &collector, &adversary, nullptr);
-  ASSERT_TRUE(game.Run().ok());
-  EXPECT_EQ(game.reference_centroid().size(), data.dims());
+  DistanceScoreModel model(&data);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  ASSERT_TRUE(game.RunToCompletion().ok());
+  EXPECT_EQ(model.reference_centroid().size(), data.dims());
 }
 
 TEST(DistanceGameTest, EmptySourceFails) {
@@ -270,9 +284,9 @@ TEST(DistanceGameTest, EmptySourceFails) {
   data.num_clusters = 1;
   OstrichCollector collector;
   FixedPercentileAdversary adversary(0.9);
-  DistanceCollectionGame game(SmallConfig(), &data, &collector, &adversary,
-                              nullptr);
-  EXPECT_FALSE(game.Run().ok());
+  DistanceScoreModel model(&data);
+  TrimmingSession game(SmallConfig(), &model, &collector, &adversary, nullptr);
+  EXPECT_FALSE(game.RunToCompletion().ok());
 }
 
 // Property sweep over attack ratios: bookkeeping identities always hold.
@@ -285,8 +299,9 @@ TEST_P(GameAccountingTest, CountsAreConsistent) {
   UniformRangeAdversary adversary(0.85, 1.0);
   GameConfig config = SmallConfig();
   config.attack_ratio = ratio;
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  GameSummary summary = game.Run().ValueOrDie();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  GameSummary summary = game.RunToCompletion().ValueOrDie();
   size_t expected_poison = static_cast<size_t>(
       std::llround(ratio * static_cast<double>(config.round_size)));
   for (const auto& r : summary.rounds) {
@@ -295,8 +310,8 @@ TEST_P(GameAccountingTest, CountsAreConsistent) {
     EXPECT_LE(r.benign_kept, r.benign_received);
     EXPECT_LE(r.poison_kept, r.poison_received);
   }
-  EXPECT_EQ(game.retained().size(), summary.TotalKept());
-  EXPECT_EQ(game.retained_is_poison().size(), summary.TotalKept());
+  EXPECT_EQ(model.retained().size(), summary.TotalKept());
+  EXPECT_EQ(model.retained_is_poison().size(), summary.TotalKept());
 }
 
 INSTANTIATE_TEST_SUITE_P(AttackRatios, GameAccountingTest,

@@ -1,14 +1,15 @@
 // Bit-identity, streaming, checkpoint and determinism tests of the
 // TrimmingSession engine.
 //
-// The refactor's core guarantee is that the batch adapters
-// (ScalarCollectionGame / DistanceCollectionGame / LdpCollectionGame's
-// trimming path) reproduce the seed implementation's GameSummary bit for
-// bit at fixed seed. The Legacy* functions below are line-by-line replicas
-// of the pre-refactor monolithic Run() loops — including the seed
-// PublicBoard's sort-per-invalidation query semantics (LegacySortBoard) —
-// and every scheme of the paper's five experiment pipelines is pitted
-// against the session-backed implementation.
+// The engine's core guarantee is that every way of building a session
+// reproduces the seed implementation's GameSummary bit for bit at fixed
+// seed: scheme-driven sessions built by MaterializeTenant (fleet/tenant.h)
+// and LdpCollectionGame's hand-wired trimming path. The Legacy* functions
+// below are line-by-line replicas of the pre-refactor monolithic Run()
+// loops — including the seed PublicBoard's sort-per-invalidation query
+// semantics (LegacySortBoard) — and every scheme of the paper's five
+// experiment pipelines, under both trim semantics, is pitted against the
+// session-backed implementation.
 #include "game/session.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +23,7 @@
 #include "common/thread_pool.h"
 #include "data/generators.h"
 #include "exp/schemes.h"
-#include "game/collection_game.h"
+#include "fleet/tenant.h"
 #include "game/score_model.h"
 #include "game/trimmer.h"
 #include "ldp/attacks.h"
@@ -125,7 +126,7 @@ RoundContext LegacyContext(int round, const GameConfig& config,
   return ctx;
 }
 
-// Line-by-line replica of the seed ScalarCollectionGame::Run().
+// Line-by-line replica of the seed scalar game's Run() loop.
 Result<GameSummary> LegacyScalarRun(const GameConfig& config,
                                     const std::vector<double>& benign_pool,
                                     CollectorStrategy* collector,
@@ -243,7 +244,7 @@ Result<GameSummary> LegacyScalarRun(const GameConfig& config,
   return summary;
 }
 
-// Line-by-line replica of the seed DistanceCollectionGame::Run().
+// Line-by-line replica of the seed distance game's Run() loop.
 Result<GameSummary> LegacyDistanceRun(const GameConfig& config,
                                       const Dataset& source,
                                       CollectorStrategy* collector,
@@ -393,7 +394,7 @@ Result<GameSummary> LegacyDistanceRun(const GameConfig& config,
 }
 
 // Line-by-line replica of the seed LdpCollectionGame::RunTrimming().
-Result<LdpRunResult> LegacyLdpRunTrimming(const LdpGameConfig& config,
+Result<LdpRunResult> LegacyLdpRunTrimming(const GameConfig& config,
                                           const std::vector<double>& population,
                                           const LdpMechanism& mechanism,
                                           LdpAttack* attack,
@@ -435,10 +436,10 @@ Result<LdpRunResult> LegacyLdpRunTrimming(const LdpGameConfig& config,
     double trim_percentile = collector->TrimPercentile(ctx);
 
     const size_t attackers = static_cast<size_t>(std::llround(
-        config.attack_ratio * static_cast<double>(config.users_per_round)));
+        config.attack_ratio * static_cast<double>(config.round_size)));
     reports.clear();
     is_poison.clear();
-    for (size_t i = 0; i < config.users_per_round; ++i) {
+    for (size_t i = 0; i < config.round_size; ++i) {
       double x = population[rng.UniformInt(population.size())];
       reports.push_back(mechanism.Perturb(x, &rng));
       is_poison.push_back(0);
@@ -545,6 +546,26 @@ Result<LdpRunResult> LegacyLdpRunTrimming(const LdpGameConfig& config,
 // Bit-identity across every scheme, both game variants, both trim semantics
 // --------------------------------------------------------------------------
 
+// The tenant-side spec of one scheme-driven session, keeping survivors so
+// they can be compared against the replica's.
+TenantSpec SchemeSpec(ModelKind kind, SchemeId id,
+                      const SchemeOptions& options, const GameConfig& game) {
+  TenantSpec spec;
+  spec.model = kind;
+  spec.scheme = id;
+  spec.scheme_options = options;
+  spec.game = game;
+  spec.retain_survivors = true;
+  return spec;
+}
+
+// The replica plays the config MaterializeTenant derives: Groundtruth is
+// the clean reference, so it runs without poison.
+GameConfig ReplicaConfig(SchemeId id, GameConfig config) {
+  if (id == SchemeId::kGroundtruth) config.attack_ratio = 0.0;
+  return config;
+}
+
 class SchemeBitIdentityTest : public ::testing::TestWithParam<SchemeId> {};
 
 TEST_P(SchemeBitIdentityTest, ScalarGameMatchesSeedLoop) {
@@ -563,28 +584,28 @@ TEST_P(SchemeBitIdentityTest, ScalarGameMatchesSeedLoop) {
     SchemeOptions options;
     options.titfortat_trigger_quality = 0.8;  // let the trigger participate
     SchemeInstance legacy_scheme = MakeScheme(id, config.tth, options);
-    SchemeInstance new_scheme = MakeScheme(id, config.tth, options);
 
     std::vector<double> legacy_retained;
     std::vector<char> legacy_flags;
     auto legacy = LegacyScalarRun(
-        config, pool, legacy_scheme.collector.get(),
+        ReplicaConfig(id, config), pool, legacy_scheme.collector.get(),
         legacy_scheme.adversary.get(), legacy_scheme.quality.get(),
         &legacy_retained, &legacy_flags);
     ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-    ScalarCollectionGame game(config, &pool, new_scheme.collector.get(),
-                              new_scheme.adversary.get(),
-                              new_scheme.quality.get());
-    auto summary = game.Run();
+    TenantSpec spec = SchemeSpec(ModelKind::kScalar, id, options, config);
+    spec.scalar_pool = &pool;
+    Tenant tenant = MaterializeTenant(spec, config.seed).ValueOrDie();
+    auto summary = tenant.session->RunToCompletion();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    const auto& model = static_cast<const IdentityScoreModel&>(*tenant.model);
 
     ExpectSummaryBitIdentical(*legacy, *summary);
-    ASSERT_EQ(game.retained().size(), legacy_retained.size());
+    ASSERT_EQ(model.retained().size(), legacy_retained.size());
     for (size_t i = 0; i < legacy_retained.size(); ++i) {
-      EXPECT_TRUE(BitEqual(game.retained()[i], legacy_retained[i]));
+      EXPECT_TRUE(BitEqual(model.retained()[i], legacy_retained[i]));
     }
-    EXPECT_EQ(game.retained_is_poison(), legacy_flags);
+    EXPECT_EQ(model.retained_is_poison(), legacy_flags);
   }
 }
 
@@ -604,27 +625,27 @@ TEST_P(SchemeBitIdentityTest, DistanceGameMatchesSeedLoop) {
     SchemeOptions options;
     options.titfortat_trigger_quality = 0.8;
     SchemeInstance legacy_scheme = MakeScheme(id, config.tth, options);
-    SchemeInstance new_scheme = MakeScheme(id, config.tth, options);
 
     Dataset legacy_retained;
     std::vector<char> legacy_flags;
     auto legacy = LegacyDistanceRun(
-        config, data, legacy_scheme.collector.get(),
+        ReplicaConfig(id, config), data, legacy_scheme.collector.get(),
         legacy_scheme.adversary.get(), legacy_scheme.quality.get(),
         &legacy_retained, &legacy_flags);
     ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-    DistanceCollectionGame game(config, &data, new_scheme.collector.get(),
-                                new_scheme.adversary.get(),
-                                new_scheme.quality.get());
-    auto summary = game.Run();
+    TenantSpec spec = SchemeSpec(ModelKind::kDistance, id, options, config);
+    spec.dataset = &data;
+    Tenant tenant = MaterializeTenant(spec, config.seed).ValueOrDie();
+    auto summary = tenant.session->RunToCompletion();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    const auto& model = static_cast<const DistanceScoreModel&>(*tenant.model);
 
     ExpectSummaryBitIdentical(*legacy, *summary);
-    ASSERT_EQ(game.retained_data().rows.size(), legacy_retained.rows.size());
-    EXPECT_EQ(game.retained_data().rows, legacy_retained.rows);
-    EXPECT_EQ(game.retained_data().labels, legacy_retained.labels);
-    EXPECT_EQ(game.retained_is_poison(), legacy_flags);
+    ASSERT_EQ(model.retained_data().rows.size(), legacy_retained.rows.size());
+    EXPECT_EQ(model.retained_data().rows, legacy_retained.rows);
+    EXPECT_EQ(model.retained_data().labels, legacy_retained.labels);
+    EXPECT_EQ(model.retained_is_poison(), legacy_flags);
   }
 }
 
@@ -640,9 +661,9 @@ TEST(LdpBitIdentityTest, TrimmingPathMatchesSeedLoop) {
   std::vector<double> population;
   for (const auto& row : taxi.rows) population.push_back(row[0]);
 
-  LdpGameConfig config;
+  GameConfig config;
   config.rounds = 6;
-  config.users_per_round = 600;
+  config.round_size = 600;
   config.attack_ratio = 0.12;
   config.tth = 0.9;
   config.bootstrap_size = 600;
@@ -860,9 +881,9 @@ TEST(TrimmingSessionTest, RejectsEachInvalidConfigField) {
     Status status = session.Bootstrap();
     EXPECT_FALSE(status.ok()) << label;
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << label;
-    // The batch adapter surfaces the same status.
-    ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-    EXPECT_EQ(game.Run().status().code(), StatusCode::kInvalidArgument)
+    // The batch shape surfaces the same status.
+    EXPECT_EQ(session.RunToCompletion().status().code(),
+              StatusCode::kInvalidArgument)
         << label;
   };
 
@@ -875,6 +896,12 @@ TEST(TrimmingSessionTest, RejectsEachInvalidConfigField) {
   config = GameConfig{};
   config.attack_ratio = -0.5;
   expect_rejected(config, "attack_ratio");
+  config = GameConfig{};
+  config.attack_ratio = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(config, "attack_ratio NaN");
+  config = GameConfig{};
+  config.attack_ratio = std::numeric_limits<double>::infinity();
+  expect_rejected(config, "attack_ratio +inf");
   config = GameConfig{};
   config.tth = 1.0;
   expect_rejected(config, "tth upper");
@@ -891,7 +918,7 @@ TEST(TrimmingSessionTest, LdpGameSurfacesEachInvalidConfigField) {
   PiecewiseMechanism mechanism(2.0);
   InputManipulationAttack attack(1.0);
 
-  auto expect_rejected = [&](LdpGameConfig config, const char* label) {
+  auto expect_rejected = [&](GameConfig config, const char* label) {
     LdpCollectionGame game(config, &population, &mechanism, &attack);
     ElasticCollector collector(0.5);
     EXPECT_EQ(game.RunTrimming(&collector, nullptr).status().code(),
@@ -905,19 +932,22 @@ TEST(TrimmingSessionTest, LdpGameSurfacesEachInvalidConfigField) {
         << label;
   };
 
-  LdpGameConfig config;
+  GameConfig config;
   config.rounds = 0;
   expect_rejected(config, "rounds");
-  config = LdpGameConfig{};
-  config.users_per_round = 0;
-  expect_rejected(config, "users_per_round");
-  config = LdpGameConfig{};
+  config = GameConfig{};
+  config.round_size = 0;
+  expect_rejected(config, "round_size");
+  config = GameConfig{};
   config.attack_ratio = -1.0;
   expect_rejected(config, "attack_ratio");
-  config = LdpGameConfig{};
+  config = GameConfig{};
+  config.attack_ratio = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(config, "attack_ratio NaN");
+  config = GameConfig{};
   config.tth = 1.5;
   expect_rejected(config, "tth");
-  config = LdpGameConfig{};
+  config = GameConfig{};
   config.bootstrap_size = 0;
   expect_rejected(config, "bootstrap_size");
 }

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "game/collection_game.h"
+#include "game/score_model.h"
+#include "game/session.h"
 
 namespace itrim {
 namespace {
@@ -131,9 +132,9 @@ TEST(VariantsGameTest, TwoTatsTerminatesNoEarlierThanTitfortat) {
   auto run = [&](CollectorStrategy* collector) {
     MixedPercentileAdversary adversary(0.5);
     NoisyDefectShareQuality quality(0.90, 0.99, 0.02, 0.05, 77);
-    ScalarCollectionGame game(config, &pool, collector, &adversary,
-                              &quality);
-    GameSummary summary = game.Run().ValueOrDie();
+    IdentityScoreModel model(&pool);
+    TrimmingSession game(config, &model, collector, &adversary, &quality);
+    GameSummary summary = game.RunToCompletion().ValueOrDie();
     return summary.termination_round == 0 ? config.rounds + 1
                                           : summary.termination_round;
   };

@@ -7,8 +7,10 @@
 #include "data/generators.h"
 #include "exp/experiments.h"
 #include "exp/schemes.h"
-#include "game/collection_game.h"
+#include "fleet/tenant.h"
 #include "game/equilibrium.h"
+#include "game/score_model.h"
+#include "game/session.h"
 #include "ldp/attacks.h"
 #include "ldp/ldp_game.h"
 #include "ldp/mechanism.h"
@@ -26,23 +28,27 @@ TEST(EndToEndKmeans, AdaptiveTrimmingBeatsOstrichUnderHeavyAttack) {
   auto run_scheme = [&](SchemeId id) {
     double dist_acc = 0.0;
     for (uint64_t rep = 0; rep < 3; ++rep) {
-      SchemeInstance scheme = MakeScheme(id, 0.9);
-      GameConfig config;
-      config.rounds = 10;
-      config.round_size = 150;
-      config.attack_ratio = 0.4;
-      config.tth = 0.9;
-      config.round_mass_trimming = true;  // the Fig 4 pipeline semantics
-      config.seed = 1000 + rep;
-      DistanceCollectionGame game(config, &data, scheme.collector.get(),
-                                  scheme.adversary.get(),
-                                  scheme.quality.get());
-      EXPECT_TRUE(game.Run().ok());
+      TenantSpec spec;
+      spec.model = ModelKind::kDistance;
+      spec.scheme = id;
+      spec.game.rounds = 10;
+      spec.game.round_size = 150;
+      spec.game.attack_ratio = 0.4;
+      spec.game.tth = 0.9;
+      spec.game.round_mass_trimming = true;  // the Fig 4 pipeline semantics
+      spec.game.seed = 1000 + rep;
+      spec.retain_survivors = true;
+      spec.dataset = &data;
+      Tenant tenant = MaterializeTenant(spec, spec.game.seed).ValueOrDie();
+      EXPECT_TRUE(tenant.session->RunToCompletion().ok());
+      const Dataset& survivors =
+          static_cast<const DistanceScoreModel&>(*tenant.model)
+              .retained_data();
       KMeansConfig km;
       km.k = 6;
       km.restarts = 2;
       km.seed = rep;
-      auto model = KMeans(game.retained_data().rows, km).ValueOrDie();
+      auto model = KMeans(survivors.rows, km).ValueOrDie();
       KMeansConfig km_clean = km;
       auto gt = KMeans(data.rows, km_clean).ValueOrDie();
       dist_acc += CentroidSetDistance(model.centroids, gt.centroids);
@@ -60,25 +66,25 @@ TEST(EndToEndKmeans, AdaptiveTrimmingBeatsOstrichUnderHeavyAttack) {
 
 TEST(EndToEndGame, StaticThresholdFullyEvadedAdaptivePartiallyEvaded) {
   Dataset data = MakeControl(22);
-  GameConfig config;
-  config.rounds = 10;
-  config.round_size = 200;
-  config.attack_ratio = 0.3;
-  config.tth = 0.9;
-  config.seed = 77;
+  auto play = [&](SchemeId id) {
+    TenantSpec spec;
+    spec.model = ModelKind::kDistance;
+    spec.scheme = id;
+    spec.game.rounds = 10;
+    spec.game.round_size = 200;
+    spec.game.attack_ratio = 0.3;
+    spec.game.tth = 0.9;
+    spec.game.seed = 77;
+    spec.dataset = &data;
+    Tenant tenant = MaterializeTenant(spec, spec.game.seed).ValueOrDie();
+    return tenant.session->RunToCompletion().ValueOrDie();
+  };
 
-  SchemeInstance stat = MakeScheme(SchemeId::kBaselineStatic, 0.9);
-  DistanceCollectionGame static_game(config, &data, stat.collector.get(),
-                                     stat.adversary.get(), nullptr);
-  double static_survival =
-      static_game.Run().ValueOrDie().PoisonSurvivalRate();
+  double static_survival = play(SchemeId::kBaselineStatic).PoisonSurvivalRate();
   // The ideal attack sneaks everything below the static threshold.
   EXPECT_GT(static_survival, 0.95);
 
-  SchemeInstance elastic = MakeScheme(SchemeId::kElastic05, 0.9);
-  DistanceCollectionGame elastic_game(config, &data, elastic.collector.get(),
-                                      elastic.adversary.get(), nullptr);
-  GameSummary summary = elastic_game.Run().ValueOrDie();
+  GameSummary summary = play(SchemeId::kElastic05);
   // The Elastic equilibrium keeps the poison mild: its converged position
   // sits ~4% below Tth, far below the static scheme's just-below-threshold
   // injections.
@@ -184,13 +190,14 @@ TEST(EndToEndBoard, ReferenceStaysCalibratedUnderHeavyAttack) {
   config.bootstrap_size = 2000;
   StaticCollector collector(0.9, "static");
   FixedPercentileAdversary adversary(0.99);
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  ASSERT_TRUE(game.Run().ok());
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  ASSERT_TRUE(game.RunToCompletion().ok());
   EXPECT_NEAR(game.board().Quantile(0.90).ValueOrDie(), 0.90, 0.03);
   EXPECT_NEAR(game.board().Quantile(0.99).ValueOrDie(), 0.99, 0.03);
   // And the cutoff consequently stayed put: benign loss ~ 10% per round,
   // no truncation spiral.
-  GameSummary replay = game.Run().ValueOrDie();
+  GameSummary replay = game.RunToCompletion().ValueOrDie();
   EXPECT_NEAR(replay.BenignLossFraction(), 0.1, 0.03);
 }
 

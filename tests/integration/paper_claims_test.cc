@@ -10,9 +10,10 @@
 #include "data/generators.h"
 #include "exp/experiments.h"
 #include "exp/schemes.h"
-#include "game/collection_game.h"
 #include "game/payoff.h"
 #include "game/position_map.h"
+#include "game/score_model.h"
+#include "game/session.h"
 #include "ldp/attacks.h"
 #include "ldp/ldp_game.h"
 #include "ldp/mechanism.h"
@@ -69,9 +70,9 @@ TEST(PaperClaims, ConservativeThresholdRemovesOverhead) {
     config.attack_ratio = 0.0;
     config.tth = tth;
     config.seed = 9;
-    DistanceCollectionGame game(config, &data, &collector, &adversary,
-                                nullptr);
-    return game.Run().ValueOrDie().BenignLossFraction();
+    DistanceScoreModel model(&data);
+    TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+    return game.RunToCompletion().ValueOrDie().BenignLossFraction();
   };
   double loss_aggressive = run(0.9);
   double loss_conservative = run(0.97);
@@ -108,10 +109,11 @@ TEST(PaperClaims, Fig9TrimmingBeatsEmfAndInflectsAtSmallEpsilon) {
     for (int rep = 0; rep < reps; ++rep) {
       PiecewiseMechanism mech(eps);
       InputManipulationAttack attack(1.0);
-      LdpGameConfig config;
+      GameConfig config;
       config.rounds = 6;
-      config.users_per_round = 1500;
+      config.round_size = 1500;
       config.attack_ratio = 0.25;
+      config.bootstrap_size = 1000;
       config.seed = 700 + static_cast<uint64_t>(rep);
       LdpCollectionGame game(config, &population, &mech, &attack);
       if (emf) {

@@ -9,8 +9,10 @@
 #include "data/generators.h"
 #include "exp/experiments.h"
 #include "exp/schemes.h"
-#include "game/collection_game.h"
+#include "fleet/tenant.h"
 #include "game/lagrangian.h"
+#include "game/score_model.h"
+#include "game/session.h"
 #include "game/strategies.h"
 #include "ldp/attacks.h"
 #include "ldp/ldp_game.h"
@@ -34,16 +36,19 @@ class SchemeInvariantTest : public ::testing::TestWithParam<GameCase> {};
 TEST_P(SchemeInvariantTest, AccountingAndDomainInvariants) {
   const GameCase& param = GetParam();
   Dataset data = MakeControl(param.seed);
-  SchemeInstance scheme = MakeScheme(param.scheme, 0.9);
-  GameConfig config;
-  config.rounds = 8;
-  config.round_size = 150;
-  config.attack_ratio = param.attack_ratio;
-  config.tth = 0.9;
-  config.seed = param.seed;
-  DistanceCollectionGame game(config, &data, scheme.collector.get(),
-                              scheme.adversary.get(), scheme.quality.get());
-  GameSummary summary = game.Run().ValueOrDie();
+  TenantSpec spec;
+  spec.model = ModelKind::kDistance;
+  spec.scheme = param.scheme;
+  spec.game.rounds = 8;
+  spec.game.round_size = 150;
+  spec.game.attack_ratio = param.attack_ratio;
+  spec.game.tth = 0.9;
+  spec.game.seed = param.seed;
+  spec.retain_survivors = true;
+  spec.dataset = &data;
+  Tenant tenant = MaterializeTenant(spec, spec.game.seed).ValueOrDie();
+  GameSummary summary = tenant.session->RunToCompletion().ValueOrDie();
+  const auto& model = static_cast<const DistanceScoreModel&>(*tenant.model);
 
   // (1) Every round's kept counts never exceed received counts.
   for (const auto& r : summary.rounds) {
@@ -53,19 +58,16 @@ TEST_P(SchemeInvariantTest, AccountingAndDomainInvariants) {
     EXPECT_GE(r.collector_percentile, 0.0);
   }
   // (3) Retained-state sizes agree with the summary.
-  EXPECT_EQ(game.retained_data().rows.size(), summary.TotalKept());
-  EXPECT_EQ(game.retained_is_poison().size(), summary.TotalKept());
+  EXPECT_EQ(model.retained_data().rows.size(), summary.TotalKept());
+  EXPECT_EQ(model.retained_is_poison().size(), summary.TotalKept());
   // (4) Fractions live in [0, 1].
   EXPECT_GE(summary.UntrimmedPoisonFraction(), 0.0);
   EXPECT_LE(summary.UntrimmedPoisonFraction(), 1.0);
   EXPECT_GE(summary.BenignLossFraction(), 0.0);
   EXPECT_LE(summary.BenignLossFraction(), 1.0);
   // (5) Deterministic replay.
-  SchemeInstance scheme2 = MakeScheme(param.scheme, 0.9);
-  DistanceCollectionGame game2(config, &data, scheme2.collector.get(),
-                               scheme2.adversary.get(),
-                               scheme2.quality.get());
-  GameSummary replay = game2.Run().ValueOrDie();
+  Tenant replay_tenant = MaterializeTenant(spec, spec.game.seed).ValueOrDie();
+  GameSummary replay = replay_tenant.session->RunToCompletion().ValueOrDie();
   EXPECT_DOUBLE_EQ(replay.UntrimmedPoisonFraction(),
                    summary.UntrimmedPoisonFraction());
 }
@@ -102,10 +104,15 @@ TEST_P(OverheadMonotonicityTest, TighterThresholdMoreBenignLoss) {
   StaticCollector tight(tth - 0.05, "tight");
   StaticCollector loose(tth, "loose");
   FixedPercentileAdversary adversary(0.99);
-  ScalarCollectionGame game_tight(config, &pool, &tight, &adversary, nullptr);
-  ScalarCollectionGame game_loose(config, &pool, &loose, &adversary, nullptr);
-  double loss_tight = game_tight.Run().ValueOrDie().BenignLossFraction();
-  double loss_loose = game_loose.Run().ValueOrDie().BenignLossFraction();
+  IdentityScoreModel tight_model(&pool), loose_model(&pool);
+  TrimmingSession game_tight(config, &tight_model, &tight, &adversary,
+                             nullptr);
+  TrimmingSession game_loose(config, &loose_model, &loose, &adversary,
+                             nullptr);
+  double loss_tight =
+      game_tight.RunToCompletion().ValueOrDie().BenignLossFraction();
+  double loss_loose =
+      game_loose.RunToCompletion().ValueOrDie().BenignLossFraction();
   EXPECT_GT(loss_tight, loss_loose);
 }
 
@@ -132,8 +139,9 @@ TEST_P(EvasionBoundaryTest, SurvivalFlipsAtThreshold) {
   config.seed = 23;
   StaticCollector collector(0.9, "static");
   FixedPercentileAdversary adversary(0.9 + offset);
-  ScalarCollectionGame game(config, &pool, &collector, &adversary, nullptr);
-  double survival = game.Run().ValueOrDie().PoisonSurvivalRate();
+  IdentityScoreModel model(&pool);
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  double survival = game.RunToCompletion().ValueOrDie().PoisonSurvivalRate();
   if (offset <= 0.0) {
     EXPECT_GT(survival, 0.9) << "offset=" << offset;
   } else {
@@ -193,9 +201,9 @@ TEST_P(LdpCompositionTest, RoundGenerationPreservesMeanWithoutAttack) {
   for (const auto& row : taxi.rows) population.push_back(row[0]);
   auto mech = MakeMechanism(param.mechanism, param.epsilon).ValueOrDie();
   InputManipulationAttack attack(1.0);
-  LdpGameConfig config;
+  GameConfig config;
   config.rounds = 4;
-  config.users_per_round = 3000;
+  config.round_size = 3000;
   config.attack_ratio = 0.0;
   config.seed = 29;
   LdpCollectionGame game(config, &population, mech.get(), &attack);

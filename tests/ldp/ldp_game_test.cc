@@ -17,10 +17,10 @@ std::vector<double> TaxiPopulation(size_t n = 20000, uint64_t seed = 3) {
   return population;
 }
 
-LdpGameConfig SmallConfig() {
-  LdpGameConfig c;
+GameConfig SmallConfig() {
+  GameConfig c;
   c.rounds = 5;
-  c.users_per_round = 2000;
+  c.round_size = 2000;
   c.attack_ratio = 0.1;
   c.tth = 0.9;
   c.bootstrap_size = 2000;
@@ -28,24 +28,11 @@ LdpGameConfig SmallConfig() {
   return c;
 }
 
-TEST(LdpGameConfigTest, Validation) {
-  LdpGameConfig c = SmallConfig();
-  EXPECT_TRUE(c.Validate().ok());
-  c.rounds = 0;
-  EXPECT_FALSE(c.Validate().ok());
-  c = SmallConfig();
-  c.users_per_round = 0;
-  EXPECT_FALSE(c.Validate().ok());
-  c = SmallConfig();
-  c.tth = 0.0;
-  EXPECT_FALSE(c.Validate().ok());
-}
-
 TEST(LdpGameTest, CleanEstimateIsAccurate) {
   auto population = TaxiPopulation();
   PiecewiseMechanism mech(3.0);
   InputManipulationAttack attack(1.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   config.attack_ratio = 0.0;
   LdpCollectionGame game(config, &population, &mech, &attack);
   auto result = game.RunUndefended().ValueOrDie();
@@ -57,7 +44,7 @@ TEST(LdpGameTest, UndefendedAttackSkewsMean) {
   auto population = TaxiPopulation();
   PiecewiseMechanism mech(3.0);
   InputManipulationAttack attack(1.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   config.attack_ratio = 0.3;
   LdpCollectionGame game(config, &population, &mech, &attack);
   auto result = game.RunUndefended().ValueOrDie();
@@ -68,7 +55,7 @@ TEST(LdpGameTest, UndefendedAttackSkewsMean) {
 TEST(LdpGameTest, TrimmingReducesAttackBias) {
   auto population = TaxiPopulation();
   PiecewiseMechanism mech(3.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   config.attack_ratio = 0.2;
 
   InputManipulationAttack attack_a(1.0);
@@ -89,16 +76,16 @@ TEST(LdpGameTest, TrimmingRecordsRounds) {
   auto population = TaxiPopulation();
   PiecewiseMechanism mech(2.0);
   InputManipulationAttack attack(1.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   LdpCollectionGame game(config, &population, &mech, &attack);
   TitfortatCollector collector(+0.01, -0.03, -1.0);
   TailMassQuality quality(config.tth);
   auto result = game.RunTrimming(&collector, &quality).ValueOrDie();
   ASSERT_EQ(result.game.rounds.size(), 5u);
   for (const auto& r : result.game.rounds) {
-    EXPECT_EQ(r.benign_received, config.users_per_round);
+    EXPECT_EQ(r.benign_received, config.round_size);
     EXPECT_EQ(r.poison_received,
-              static_cast<size_t>(0.1 * config.users_per_round));
+              static_cast<size_t>(0.1 * config.round_size));
     EXPECT_GT(r.benign_kept, 0u);
   }
 }
@@ -107,7 +94,7 @@ TEST(LdpGameTest, EmfRunsAndEstimatesBeta) {
   auto population = TaxiPopulation();
   PiecewiseMechanism mech(2.0);
   InputManipulationAttack attack(1.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   config.attack_ratio = 0.2;
   LdpCollectionGame game(config, &population, &mech, &attack);
   auto result = game.RunEmf(EmfConfig{}).ValueOrDie();
@@ -120,12 +107,12 @@ TEST(LdpGameTest, TrimmingBeatsEmfAgainstEvasiveAttack) {
   // trimming outperforms the EM filter.
   auto population = TaxiPopulation(30000, 5);
   PiecewiseMechanism mech(2.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   config.attack_ratio = 0.25;
   config.rounds = 8;
   double trim_mse = 0.0, emf_mse = 0.0;
   for (uint64_t rep = 0; rep < 3; ++rep) {
-    LdpGameConfig rep_config = config;
+    GameConfig rep_config = config;
     rep_config.seed = 100 + rep;
     InputManipulationAttack attack(1.0);
     LdpCollectionGame game(rep_config, &population, &mech, &attack);
@@ -141,9 +128,9 @@ TEST(LdpGameTest, DeterministicInSeed) {
   auto population = TaxiPopulation();
   PiecewiseMechanism mech(2.0);
   InputManipulationAttack attack(1.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   auto run = [&](uint64_t seed) {
-    LdpGameConfig c = config;
+    GameConfig c = config;
     c.seed = seed;
     LdpCollectionGame game(c, &population, &mech, &attack);
     ElasticCollector collector(0.1);
@@ -172,7 +159,7 @@ TEST_P(EpsilonSweepTest, CleanPipelineKeepsUtility) {
   auto population = TaxiPopulation();
   PiecewiseMechanism mech(GetParam());
   InputManipulationAttack attack(1.0);
-  LdpGameConfig config = SmallConfig();
+  GameConfig config = SmallConfig();
   config.attack_ratio = 0.0;
   LdpCollectionGame game(config, &population, &mech, &attack);
   ElasticCollector collector(0.5);
