@@ -1,7 +1,9 @@
 #include "game/reference_policy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "game/kernels.h"
@@ -37,7 +39,53 @@ void GatherSelected(std::span<const double> obs, size_t width,
   }
 }
 
+/// Radix key of an absolute residual: non-negative doubles order like their
+/// bit patterns, NaN ranks with +inf, and -0 folds onto +0.
+uint64_t ResidualKey(double residual) {
+  if (std::isnan(residual)) {
+    return std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity());
+  }
+  if (residual == 0.0) return 0;
+  return std::bit_cast<uint64_t>(residual);
+}
+
 }  // namespace
+
+void FittedModelReference::OrderByResidual() {
+  const size_t n = resid_.size();
+  keys_.resize(n);
+  keys_tmp_.resize(n);
+  order_tmp_.resize(n);
+  // One byte histogram per key byte, all filled by the encoding pass.
+  size_t counts[8][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = ResidualKey(resid_[i]);
+    keys_[i] = key;
+    order_[i] = i;
+    for (int b = 0; b < 8; ++b) ++counts[b][(key >> (8 * b)) & 0xFF];
+  }
+  // LSD passes from index order; each pass is stable, so equal keys keep
+  // ascending index order — the old comparator's tie-break.
+  for (int b = 0; b < 8; ++b) {
+    const int shift = 8 * b;
+    size_t* count = counts[b];
+    if (count[(keys_[0] >> shift) & 0xFF] == n) continue;  // byte is uniform
+    size_t offset = 0;
+    for (int v = 0; v < 256; ++v) {
+      const size_t here = count[v];
+      count[v] = offset;
+      offset += here;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = keys_[i];
+      const size_t slot = count[(key >> shift) & 0xFF]++;
+      keys_tmp_[slot] = key;
+      order_tmp_[slot] = order_[i];
+    }
+    keys_.swap(keys_tmp_);
+    order_.swap(order_tmp_);
+  }
+}
 
 Status FittedModelReference::Validate(const ScoreModel& model) const {
   if (!model.ProvidesObservations()) {
@@ -113,18 +161,10 @@ Status FittedModelReference::TrimRound(double percentile, ScoreModel* model,
   kernels::AbsResidualsToModel(obs.data(), n, width, fit_.weights.data(),
                                fit_.bias, resid_.data());
 
-  const double inf = std::numeric_limits<double>::infinity();
-  double cutoff = inf;
+  double cutoff = std::numeric_limits<double>::infinity();
   for (int iter = 0; iter < options_.max_refits; ++iter) {
     ++last_refit_iters_;
-    // Total order: residual magnitude, NaN last, ties by index — the
-    // selected set is independent of the sort algorithm.
-    std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-      const double ka = std::isnan(resid_[a]) ? inf : resid_[a];
-      const double kb = std::isnan(resid_[b]) ? inf : resid_[b];
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
+    OrderByResidual();
     cutoff = resid_[order_[keep_n - 1]];
     GatherSelected(obs, width, order_.data(), keep_n, &fit_xs_, &fit_ys_);
     ITRIM_RETURN_NOT_OK(

@@ -18,6 +18,7 @@
 #define ITRIM_GAME_REFERENCE_POLICY_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,14 @@ PercentileReference* DefaultReferencePolicy();
 /// the policy reusable across Bootstrap() cycles. Selection is by total
 /// order (residual, then index; NaN last), so the kept set is independent
 /// of sort algorithm, thread count and kernel variant.
+///
+/// Each refit orders its rows by a stable 8-bit LSD radix over
+/// (key, index), started from index order. A residual's key is a uint64_t:
+/// NaN maps to the bits of +inf, -0 to +0, and any other non-negative
+/// double to its own bit pattern (non-negative doubles order like their
+/// bits). Byte passes where every key agrees are skipped. Since that total
+/// order has a unique sorted permutation, the radix yields exactly the
+/// permutation of a comparator sort on (residual with NaN as +inf, index).
 class FittedModelReference : public ReferencePolicy {
  public:
   struct Options {
@@ -105,6 +114,9 @@ class FittedModelReference : public ReferencePolicy {
   const Options& options() const { return options_; }
 
  private:
+  /// Fills order_ with the rows sorted by (residual key, index).
+  void OrderByResidual();
+
   Options options_;
   int last_refit_iters_ = 0;
   // Refit-loop scratch, reused across rounds so the session's steady-state
@@ -114,6 +126,10 @@ class FittedModelReference : public ReferencePolicy {
   std::vector<double> resid_;
   std::vector<double> prev_resid_;
   std::vector<size_t> order_;
+  // Radix keys parallel to order_, and the scatter targets of each pass.
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> keys_tmp_;
+  std::vector<size_t> order_tmp_;
   std::vector<double> fit_xs_;
   std::vector<double> fit_ys_;
 };

@@ -101,6 +101,11 @@ class SessionFleetTest : public ::testing::Test {
           attacks_.push_back(std::make_unique<InputManipulationAttack>(1.0));
           spec.ldp_attack = attacks_.back().get();
           break;
+        case TenantModelKind::kResidual:
+          // i % 3 never reaches kResidual: these fixtures mix the three
+          // percentile-reference kinds only.
+          ADD_FAILURE() << "unexpected kResidual spec at tenant " << i;
+          break;
       }
       specs.push_back(spec);
     }

@@ -188,7 +188,9 @@ TEST_P(BoardFuzzTest, SealedBoardMatchesSortedOracleAcrossReservoirBoundary) {
       }
       board.Seal();
       EXPECT_EQ(board.total_recorded(), length);
-      if (capacity > 0) ASSERT_LE(board.size(), capacity);
+      if (capacity > 0) {
+        ASSERT_LE(board.size(), capacity);
+      }
       CheckSealedBoard(board, replica.Sorted());
     }
     // The reservoir really did engage on the long stream.
