@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "game/kernels.h"
 
@@ -39,55 +40,38 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   const size_t n_source = source_->size();
   const size_t dims = source_->dims;
 
-  // Interleave the source into [x..., y] blocks once: benign arrivals then
-  // copy whole rows, and the residual kernel sweeps the block directly.
-  flat_rows_.resize(n_source * width_);
-  for (size_t i = 0; i < n_source; ++i) {
-    double* row = flat_rows_.data() + i * width_;
-    std::copy(source_->xs.data() + i * dims,
-              source_->xs.data() + (i + 1) * dims, row);
-    row[dims] = source_->ys[i];
-  }
-
   // The clean calibration sample fixes the reference fit and seeds the
   // board with its residual magnitudes — the percentile coordinate of this
-  // setting is a clean-residual quantile.
-  fit_xs_.resize(bootstrap_size * dims);
-  fit_ys_.resize(bootstrap_size);
-  std::vector<double> sample_rows(bootstrap_size * width_);
+  // setting is a clean-residual quantile. The source is read in place; the
+  // fit gathers its own copy of the sample.
+  std::vector<size_t> sample(bootstrap_size);
+  std::vector<double> fit_xs(bootstrap_size * dims);
+  std::vector<double> fit_ys(bootstrap_size);
   for (size_t i = 0; i < bootstrap_size; ++i) {
     const size_t idx = static_cast<size_t>(rng->UniformInt(n_source));
-    const double* row = flat_rows_.data() + idx * width_;
-    std::copy(row, row + dims, fit_xs_.data() + i * dims);
-    fit_ys_[i] = row[dims];
-    std::copy(row, row + width_, sample_rows.data() + i * width_);
+    sample[i] = idx;
+    const double* x = source_->xs.data() + idx * dims;
+    std::copy(x, x + dims, fit_xs.data() + i * dims);
+    fit_ys[i] = source_->ys[idx];
   }
   ITRIM_RETURN_NOT_OK(
-      regressor_.FitClosedForm(fit_xs_, fit_ys_, dims, &reference_));
+      regressor_.FitClosedForm(fit_xs, fit_ys, dims, &reference_));
 
-  std::vector<double> sample_resid(bootstrap_size);
-  kernels::AbsResidualsToModel(sample_rows.data(), bootstrap_size, width_,
-                               reference_.weights.data(), reference_.bias,
-                               sample_resid.data());
-  for (double r : sample_resid) board->RecordOne(r);
-
-  // Cache every source row's residual score (benign arrivals are source
-  // rows sampled with replacement, so their scores become table lookups —
-  // the doubles are the exact same kernel computation).
-  source_scores_.resize(n_source);
-  kernels::AbsResidualsToModel(flat_rows_.data(), n_source, width_,
-                               reference_.weights.data(), reference_.bias,
-                               source_scores_.data());
+  // Source rows are scored on first draw; the bootstrap sample is the
+  // first set of draws, recorded to the board in draw order.
+  source_scores_.assign(n_source, std::numeric_limits<double>::quiet_NaN());
+  for (size_t idx : sample) board->RecordOne(SourceScore(idx));
 
   // Highest-leverage source row (max feature distance to the mean, lowest
-  // index on ties) for the leverage poison shape.
+  // index on ties): only the leverage poison shape reads it.
+  leverage_row_ = 0;
+  if (shape_ != PoisonShape::kLeverage) return Status::OK();
   std::vector<double> mean(dims, 0.0);
   for (size_t i = 0; i < n_source; ++i) {
     const double* x = source_->xs.data() + i * dims;
     for (size_t j = 0; j < dims; ++j) mean[j] += x[j];
   }
   for (double& m : mean) m /= static_cast<double>(n_source);
-  leverage_row_ = 0;
   double best = -1.0;
   for (size_t i = 0; i < n_source; ++i) {
     const double dist = kernels::SquaredDistance(
@@ -98,6 +82,25 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
     }
   }
   return Status::OK();
+}
+
+double ResidualScoreModel::SourceScore(size_t idx) {
+  double& score = source_scores_[idx];
+  if (std::isnan(score)) {
+    const size_t dims = source_->dims;
+    score = AbsResidual(source_->xs.data() + idx * dims, dims,
+                        source_->ys[idx]);
+  }
+  return score;
+}
+
+double ResidualScoreModel::AbsResidual(const double* x, size_t dims,
+                                       double y) const {
+  // |y - (w . x + bias)| with the dot product in the canonical LaneDot
+  // association: the same doubles as the batched AbsResidualsToModel.
+  const double prediction =
+      kernels::LaneDot(reference_.weights.data(), x, dims) + reference_.bias;
+  return std::fabs(y - prediction);
 }
 
 void ResidualScoreModel::BeginRound(size_t expected) {
@@ -117,14 +120,16 @@ std::span<double> ResidualScoreModel::NextRowSlot() {
 void ResidualScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
   index_scratch_.resize(count);
   rng->FillUniformInt(source_->size(), index_scratch_.data(), count);
+  const size_t dims = width_ - 1;
   for (size_t i = 0; i < count; ++i) {
     const size_t idx = static_cast<size_t>(index_scratch_[i]);
     // Rows are always materialized: observations() must expose the round
     // for model-in-the-loop trim references regardless of retention.
-    const double* row = flat_rows_.data() + idx * width_;
+    const double* x = source_->xs.data() + idx * dims;
     std::span<double> slot = NextRowSlot();
-    std::copy(row, row + width_, slot.begin());
-    scores_.push_back(source_scores_[idx]);
+    std::copy(x, x + dims, slot.begin());
+    slot[dims] = source_->ys[idx];
+    scores_.push_back(SourceScore(idx));
     is_poison_.push_back(0);
   }
 }
@@ -173,12 +178,12 @@ Status ResidualScoreModel::AppendPoison(double position, Rng* rng,
     sign = 1.0;
   }
   const size_t dims = width_ - 1;
-  const double* x = flat_rows_.data() + idx * width_;
+  const double* x = source_->xs.data() + idx * dims;
   std::span<double> slot = NextRowSlot();
   std::copy(x, x + dims, slot.begin());
   slot[dims] = reference_.Predict({x, dims}) + sign * magnitude;
-  // Score through the scalar definition — bit-identical to the cached
-  // batch scores by the LaneDot contract.
+  // Score through the scalar definition — the same LaneDot evaluation as
+  // the cached source scores and the batched kernel.
   scores_.push_back(ScoreObservation(slot));
   is_poison_.push_back(1);
   return Status::OK();
@@ -192,10 +197,7 @@ size_t ResidualScoreModel::ObsWidth() const {
 double ResidualScoreModel::ScoreObservation(
     std::span<const double> obs) const {
   const size_t dims = obs.size() - 1;
-  const double prediction =
-      kernels::LaneDot(reference_.weights.data(), obs.data(), dims) +
-      reference_.bias;
-  return std::fabs(obs[dims] - prediction);
+  return AbsResidual(obs.data(), dims, obs[dims]);
 }
 
 Status ResidualScoreModel::ScoreInto(std::span<const double> obs,

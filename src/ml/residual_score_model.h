@@ -52,7 +52,12 @@ const char* PoisonShapeName(PoisonShape shape);
 
 /// \brief Regression data setting of the TrimmingSession engine.
 ///
-/// `source` is borrowed; benign arrivals sample its rows with replacement.
+/// `source` is borrowed, immutable and typically shared by many tenants;
+/// the model reads it in place and never copies it. Benign arrivals sample
+/// its rows with replacement: each draw copies one [x..., y] row into the
+/// round pool, and a source row is scored on its first draw (bootstrap
+/// sample or round), so a bootstrap or rehydration costs the fit and the
+/// sample's scores, not a sweep of the whole source.
 class ResidualScoreModel : public ScoreModel {
  public:
   explicit ResidualScoreModel(const RegressionData* source,
@@ -101,22 +106,28 @@ class ResidualScoreModel : public ScoreModel {
  private:
   /// Next reusable [x..., y] slot in the flat round pool (grow-only).
   std::span<double> NextRowSlot();
+  /// |residual| of source row `idx` against the reference fit, computed on
+  /// the row's first draw and cached in source_scores_.
+  double SourceScore(size_t idx);
+  /// |y - yhat| of one observation against the reference fit.
+  double AbsResidual(const double* x, size_t dims, double y) const;
 
   const RegressionData* source_;
   PoisonShape shape_;
   size_t width_ = 0;  ///< dims + 1, fixed by BeginRun()
   LinearRegressor regressor_;
   LinearModel reference_;
-  /// Source rows interleaved as [x..., y] blocks of width_, built once per
-  /// run: benign arrivals are single memcpys out of it, and the batched
-  /// residual kernel sweeps it directly.
-  std::vector<double> flat_rows_;
-  /// |residual| of every source row against the reference fit, cached at
-  /// bootstrap via one kernel sweep (bit-identical to scoring on arrival).
+  /// |y - (LaneDot(w, x) + bias)| of each source row, filled on the row's
+  /// first draw: Bootstrap() sizes it NaN-filled (NaN means not yet
+  /// scored) and SourceScore() scores a NaN entry in place. Benign arrivals
+  /// are source rows sampled with replacement, so a warm row's score is a
+  /// table lookup. The doubles are the scalar definition that the batched
+  /// AbsResidualsToModel kernel matches bit for bit, so they equal scoring
+  /// on arrival; a row whose true score is NaN just recomputes it.
   std::vector<double> source_scores_;
-  size_t leverage_row_ = 0;  ///< argmax feature distance to the mean
-  std::vector<double> fit_xs_;           ///< bootstrap fit gather scratch
-  std::vector<double> fit_ys_;
+  /// argmax feature distance to the source mean (lowest index on ties);
+  /// computed by Bootstrap() only under PoisonShape::kLeverage.
+  size_t leverage_row_ = 0;
   std::vector<double> row_data_;         ///< flat round pool, width_ per row
   size_t rows_used_ = 0;
   std::vector<uint64_t> index_scratch_;  ///< batched benign-draw indices
