@@ -6,100 +6,10 @@
 
 #include "common/math_util.h"
 #include "game/kernels.h"
+#include "stats/order.h"
 #include "stats/quantile.h"
 
 namespace itrim {
-
-namespace {
-
-/// Value-range buckets of the upper-rank ordering (~1 sample per bucket at
-/// the n = 500 bootstrap).
-constexpr size_t kOrderBuckets = 512;
-/// Largest bucket left to the final insertion pass; larger ones are
-/// std::sorted first, which bounds that pass at O(n * kInsertionMax).
-constexpr size_t kInsertionMax = 16;
-
-/// \brief Reused per-column scratch of OrderUpperRanks.
-struct RankScratch {
-  explicit RankScratch(size_t n)
-      : column(n), bucket(n), starts(kOrderBuckets), ordered(n) {}
-
-  std::vector<double> column;    ///< the column, in row order
-  std::vector<uint16_t> bucket;  ///< bucket of each column entry
-  std::vector<uint32_t> starts;  ///< bucket counts, then next write rank
-  std::vector<double> ordered;   ///< ranks >= lo_rank: order statistics
-};
-
-/// \brief Fills ranks [lo_rank, n) of `scratch->ordered` with the ascending
-/// order statistics of column `j` of `rows` (finite values in [lo, hi]);
-/// ranks below lo_rank are left unspecified.
-///
-/// Bucket b = floor((v - lo) * (K - 1) / (hi - lo)) is monotone in v under
-/// correctly rounded arithmetic, so every bucket is a value interval and the
-/// stable bucket scatter is sorted up to order within buckets. Only the
-/// buckets that reach lo_rank are then ordered. The worst case — all values
-/// in one bucket, or a range the scale cannot represent — is one std::sort.
-void OrderUpperRanks(std::span<const double* const> rows, size_t j,
-                     size_t lo_rank, double lo, double hi,
-                     RankScratch* scratch) {
-  const size_t n = rows.size();
-  double* column = scratch->column.data();
-  double* ordered = scratch->ordered.data();
-  const double scale = static_cast<double>(kOrderBuckets - 1) / (hi - lo);
-  if (!(hi > lo) || !std::isfinite(scale)) {
-    for (size_t i = 0; i < n; ++i) ordered[i] = rows[i][j];
-    std::sort(ordered, ordered + n);
-    return;
-  }
-  uint16_t* bucket = scratch->bucket.data();
-  uint32_t* starts = scratch->starts.data();
-  std::fill(starts, starts + kOrderBuckets, 0u);
-  for (size_t i = 0; i < n; ++i) {
-    const double v = rows[i][j];
-    const size_t b =
-        std::min(static_cast<size_t>((v - lo) * scale), kOrderBuckets - 1);
-    column[i] = v;
-    bucket[i] = static_cast<uint16_t>(b);
-    ++starts[b];
-  }
-  // Exclusive prefix sums; `first` is the bucket holding rank lo_rank.
-  uint32_t rank = 0;
-  uint32_t largest = 0;
-  size_t first = kOrderBuckets;
-  for (size_t b = 0; b < kOrderBuckets; ++b) {
-    const uint32_t count = starts[b];
-    largest = std::max(largest, count);
-    starts[b] = rank;
-    rank += count;
-    if (first == kOrderBuckets && rank > lo_rank) first = b;
-  }
-  const size_t first_rank = starts[first];
-  // Scatter the whole column: branch-free, and the lower buckets it also
-  // writes are simply never ordered. Afterwards starts[b] ends bucket b.
-  for (size_t i = 0; i < n; ++i) ordered[starts[bucket[i]]++] = column[i];
-  if (largest > kInsertionMax) {
-    size_t begin = first_rank;
-    for (size_t b = first; b < kOrderBuckets; ++b) {
-      const size_t end = starts[b];
-      if (end - begin > kInsertionMax) {
-        std::sort(ordered + begin, ordered + end);
-      }
-      begin = end;
-    }
-  }
-  // One insertion pass over the upper buckets: they ascend as intervals, so
-  // a value only moves within its own (small or already sorted) bucket.
-  for (size_t i = first_rank + 1; i < n; ++i) {
-    const double v = ordered[i];
-    size_t k = i;
-    for (; k > first_rank && ordered[k - 1] > v; --k) {
-      ordered[k] = ordered[k - 1];
-    }
-    ordered[k] = v;
-  }
-}
-
-}  // namespace
 
 Result<PositionMap> PositionMap::Build(
     const std::vector<std::vector<double>>& sample) {
@@ -126,16 +36,10 @@ Result<PositionMap> PositionMap::Build(std::span<const double* const> rows,
   if (dims == 0) return Status::InvalidArgument("zero-dimensional rows");
   PositionMap map;
   // One pass in row order: the centroid sums (the additions of Centroid(),
-  // bit for bit) and each column's value range.
+  // bit for bit).
   map.centroid_.assign(dims, 0.0);
-  std::vector<double> lo(rows[0], rows[0] + dims);
-  std::vector<double> hi = lo;
   for (const double* row : rows) {
-    for (size_t j = 0; j < dims; ++j) {
-      map.centroid_[j] += row[j];
-      lo[j] = std::min(lo[j], row[j]);
-      hi[j] = std::max(hi[j], row[j]);
-    }
+    for (size_t j = 0; j < dims; ++j) map.centroid_[j] += row[j];
   }
   // A NaN or infinite value makes its column sum non-finite (so does a sum
   // that overflows, which would leave no usable centroid either).
@@ -156,14 +60,16 @@ Result<PositionMap> PositionMap::Build(std::span<const double* const> rows,
   const size_t lo_rank =
       static_cast<size_t>(kGridLo * static_cast<double>(n) - 0.5);
   std::vector<double> quantiles((knots + 1) * dims);
-  RankScratch scratch(n);
+  std::vector<double> column(n);
+  std::vector<double> ordered(n);
   for (size_t j = 0; j < dims; ++j) {
-    OrderUpperRanks(rows, j, lo_rank, lo[j], hi[j], &scratch);
+    for (size_t i = 0; i < n; ++i) column[i] = rows[i][j];
+    OrderUpperRanks(column, lo_rank, ordered);
     for (size_t i = 0; i < knots; ++i) {
       const double a = kGridLo + static_cast<double>(i) * kGridStep;
-      quantiles[i * dims + j] = QuantileSorted(scratch.ordered, a);
+      quantiles[i * dims + j] = QuantileSorted(ordered, a);
     }
-    quantiles[knots * dims + j] = QuantileSorted(scratch.ordered, 0.95);
+    quantiles[knots * dims + j] = QuantileSorted(ordered, 0.95);
   }
   map.grid_distance_.resize(knots);
   for (size_t i = 0; i < knots; ++i) {

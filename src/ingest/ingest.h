@@ -54,6 +54,13 @@ struct IngestEvent {
 /// \brief Size of the fixed binary wire frame of one IngestEvent.
 inline constexpr size_t kIngestFrameBytes = 12;
 
+/// \brief Largest report count one event may carry. A frame's count is a
+/// uint32, and the shard worker plays every round it completes before the
+/// next event, so this bounds the work (and the round records) one
+/// untrusted frame can command. Larger events are rejected, counted in
+/// events_rejected.
+inline constexpr uint32_t kMaxReportsPerEvent = uint32_t{1} << 20;
+
 /// \brief Serializes an event into the 12-byte little-endian wire frame
 /// (u64 tenant_id, u32 reports) — the binary ingest API's unit.
 void EncodeIngestEvent(const IngestEvent& event,
@@ -105,7 +112,7 @@ struct IngestConfig {
 /// service's obs metric slots.
 struct IngestStats {
   uint64_t events_accepted = 0;   ///< events enqueued (Submit + TrySubmit)
-  uint64_t events_rejected = 0;   ///< bad tenant id / full TrySubmit / closed
+  uint64_t events_rejected = 0;   ///< bad event / full TrySubmit / closed
   uint64_t reports_enqueued = 0;  ///< reports carried by accepted events
   uint64_t reports_rate_limited = 0;  ///< reports dropped by token buckets
   uint64_t rounds_played = 0;     ///< StepTenant calls across all shards
@@ -141,7 +148,8 @@ class IngestService {
 
   /// \brief Enqueues an event on its tenant's shard, blocking while that
   /// shard's queue is full (backpressure). Fails on an unknown tenant id,
-  /// a zero report count, or a stopped service.
+  /// a zero report count or one above kMaxReportsPerEvent, or a stopped
+  /// service.
   Status Submit(const IngestEvent& event);
 
   /// \brief Like Submit() but refuses with Unavailable instead of
@@ -192,7 +200,7 @@ class IngestService {
  private:
   /// Per-tenant coalescing state, owned by the tenant's shard worker.
   struct TenantLane {
-    uint32_t pending = 0;       ///< admitted reports not yet played
+    uint64_t pending = 0;       ///< admitted reports not yet played
     int round_size = 0;         ///< cached from the tenant's game config
     double tokens = 0.0;        ///< token bucket fill
     int64_t last_refill_ns = 0;  ///< steady-clock stamp of the last refill

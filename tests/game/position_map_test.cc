@@ -176,6 +176,34 @@ std::vector<std::vector<double>> ShapedSample(Shape shape, size_t n,
   return rows;
 }
 
+// Builds `sample` both ways and compares centroid, direction and every
+// knot's forward and inverse lookups bit for bit.
+void ExpectMatchesLegacyBuild(const std::vector<std::vector<double>>& sample) {
+  const size_t dims = sample[0].size();
+  auto legacy = LegacyBuild(sample);
+  auto built = PositionMap::Build(sample);
+  ASSERT_EQ(legacy.ok(), built.ok());
+  if (!built.ok()) {
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    return;
+  }
+  const LegacyGeometry& g = legacy.ValueOrDie();
+  const PositionMap& map = built.ValueOrDie();
+  ASSERT_EQ(map.grid_size(), g.grid.size());
+  for (size_t j = 0; j < dims; ++j) {
+    EXPECT_TRUE(BitEqual(map.centroid()[j], g.centroid[j])) << j;
+    EXPECT_TRUE(BitEqual(map.quantile_direction()[j], g.direction[j])) << j;
+  }
+  for (size_t i = 0; i < g.grid.size(); ++i) {
+    const double a = kGridLo + static_cast<double>(i) * kGridStep;
+    EXPECT_TRUE(BitEqual(map.DistanceAt(a), LegacyDistanceAt(g.grid, a)))
+        << "knot " << i;
+    EXPECT_TRUE(BitEqual(map.PositionOf(g.grid[i]),
+                         LegacyPositionOf(g.grid, g.grid[i])))
+        << "knot " << i;
+  }
+}
+
 TEST(PositionMapDifferentialTest, MatchesFullSortBuildBitForBit) {
   const size_t sizes[] = {2, 3, 4, 5, 7, 500, 501, 2000};
   const size_t widths[] = {1, 3, 60};
@@ -189,33 +217,25 @@ TEST(PositionMapDifferentialTest, MatchesFullSortBuildBitForBit) {
         SCOPED_TRACE("shape=" + std::to_string(static_cast<int>(shape)) +
                      " n=" + std::to_string(n) +
                      " dims=" + std::to_string(dims));
-        const auto sample = ShapedSample(shape, n, dims, ++seed);
-        auto legacy = LegacyBuild(sample);
-        auto built = PositionMap::Build(sample);
-        ASSERT_EQ(legacy.ok(), built.ok());
-        if (!built.ok()) {
-          EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
-          continue;
-        }
-        const LegacyGeometry& g = legacy.ValueOrDie();
-        const PositionMap& map = built.ValueOrDie();
-        ASSERT_EQ(map.grid_size(), g.grid.size());
-        for (size_t j = 0; j < dims; ++j) {
-          EXPECT_TRUE(BitEqual(map.centroid()[j], g.centroid[j])) << j;
-          EXPECT_TRUE(BitEqual(map.quantile_direction()[j], g.direction[j]))
-              << j;
-        }
-        for (size_t i = 0; i < g.grid.size(); ++i) {
-          const double a = kGridLo + static_cast<double>(i) * kGridStep;
-          EXPECT_TRUE(
-              BitEqual(map.DistanceAt(a), LegacyDistanceAt(g.grid, a)))
-              << "knot " << i;
-          EXPECT_TRUE(BitEqual(map.PositionOf(g.grid[i]),
-                               LegacyPositionOf(g.grid, g.grid[i])))
-              << "knot " << i;
-        }
+        ExpectMatchesLegacyBuild(ShapedSample(shape, n, dims, ++seed));
       }
     }
+  }
+}
+
+// A column of finite values whose range hi - lo overflows to +inf (its
+// sum stays finite, so Build accepts it). The ordering must take its
+// std::sort path rather than bucket with a zero scale, where inf * 0 is a
+// NaN cast to an integer (undefined behaviour, reported by the sanitizer
+// build's float-cast-overflow check).
+TEST(PositionMapDifferentialTest, ExtremeRangeColumnMatchesFullSort) {
+  for (size_t n : {size_t{2}, size_t{3}, size_t{500}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto sample = GaussianSample(n, 3, 55 + n);
+    for (size_t i = 0; i < n; ++i) {
+      sample[i][1] = (i % 2 == 0 ? 1.0 : -1.0) * 1e308;
+    }
+    ExpectMatchesLegacyBuild(sample);
   }
 }
 

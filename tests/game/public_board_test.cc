@@ -2,10 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "data/generators.h"
+#include "exp/schemes.h"
+#include "fleet/tenant.h"
+#include "ldp/attacks.h"
+#include "ldp/mechanism.h"
+#include "ml/linreg.h"
+#include "stats/quantile.h"
+
+#include "game/summary_test_util.h"
 
 namespace itrim {
 namespace {
@@ -124,6 +138,141 @@ TEST(PublicBoardTest, UnboundedWhenCapacityZero) {
   PublicBoard board(0, 3);
   for (int i = 0; i < 5000; ++i) board.RecordOne(static_cast<double>(i));
   EXPECT_EQ(board.size(), 5000u);
+}
+
+// Every query of a sealed board against the same queries over `sorted`
+// (the held values ordered by std::sort) on a 1,000-point grid: quantiles
+// at q = i / 999, ranks and tail fractions at points spanning the values'
+// range and a margin past each end.
+void ExpectQueriesMatchStdSortedReplica(const PublicBoard& board,
+                                        const std::vector<double>& sorted) {
+  ASSERT_EQ(board.size(), sorted.size());
+  for (size_t r = 0; r < sorted.size(); ++r) {
+    ASSERT_TRUE(BitEqual(board.values()[r], sorted[r])) << "rank " << r;
+  }
+  const double lo = sorted.front();
+  const double hi = sorted.back();
+  const double margin = 0.05 * (hi - lo);
+  const size_t n = sorted.size();
+  for (size_t i = 0; i < 1000; ++i) {
+    const double t = static_cast<double>(i) / 999.0;
+    EXPECT_TRUE(BitEqual(board.Quantile(t).ValueOrDie(),
+                         QuantileSorted(sorted, t)))
+        << "q " << t;
+    const double x = Lerp(lo - margin, hi + margin, t);
+    EXPECT_TRUE(BitEqual(board.PercentileRank(x),
+                         PercentileRankSorted(sorted, x)))
+        << "x " << x;
+    const size_t at_or_above = static_cast<size_t>(
+        sorted.end() - std::lower_bound(sorted.begin(), sorted.end(), x));
+    EXPECT_TRUE(BitEqual(board.FractionAtOrAbove(x),
+                         static_cast<double>(at_or_above) /
+                             static_cast<double>(n)))
+        << "x " << x;
+  }
+}
+
+// A range whose width overflows (finite values from -1e308 to 1e308) and
+// one holding infinities: the seal must order both like std::sort, not
+// bucket them with a zero or infinite scale.
+TEST(PublicBoardTest, SealOrdersExtremeRangesLikeStdSort) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(21);
+  for (bool with_infinities : {false, true}) {
+    SCOPED_TRACE(with_infinities ? "infinities" : "overflowing range");
+    PublicBoard board;
+    std::vector<double> recorded;
+    for (int i = 0; i < 500; ++i) {
+      double v = (i % 2 == 0 ? 1.0 : -1.0) * 1e308 * rng.Uniform();
+      if (with_infinities && i % 50 == 7) v = i % 100 == 7 ? kInf : -kInf;
+      board.RecordOne(v);
+      recorded.push_back(v);
+    }
+    board.Seal();
+    std::sort(recorded.begin(), recorded.end());
+    for (size_t r = 0; r < recorded.size(); ++r) {
+      ASSERT_TRUE(BitEqual(board.values()[r], recorded[r])) << "rank " << r;
+    }
+  }
+}
+
+// The bootstrap boards of the benchmark's five tenant kinds (scalar,
+// distance, LDP, residual, fitted residual) at the paper's shape: a
+// session's sealed board answers every query exactly as the same bootstrap
+// sample sorted by std::sort. The replica re-runs the kind's bootstrap
+// into an unsealed board, which keeps the values in record order.
+TEST(PublicBoardTest, BootstrapBoardsOfEveryKindMatchStdSortedReplica) {
+  constexpr uint64_t kDataSeed = 2024;
+  std::vector<double> taxi;
+  for (const auto& row : MakeTaxi(kDataSeed, 20000).rows) {
+    taxi.push_back(row[0]);
+  }
+  const Dataset control = MakeControl(kDataSeed, 600);
+  std::vector<double> population;
+  Rng population_rng(kDataSeed);
+  for (int i = 0; i < 4000; ++i) {
+    population.push_back(population_rng.Uniform(-1.0, 1.0));
+  }
+  const RegressionData regression =
+      MakeSyntheticRegression(4000, 3, 0.1, kDataSeed);
+  const PiecewiseMechanism mechanism(2.0);
+  InputManipulationAttack attack(1.0);
+  const std::vector<SchemeId> schemes = PlottedSchemes();
+
+  enum class Kind { kScalar, kDistance, kLdp, kResidual, kFitted };
+  for (Kind kind : {Kind::kScalar, Kind::kDistance, Kind::kLdp,
+                    Kind::kResidual, Kind::kFitted}) {
+    for (size_t index = 0; index < 3; ++index) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                   " tenant " + std::to_string(index));
+      TenantSpec spec;
+      spec.scheme = schemes[index % schemes.size()];
+      spec.game.round_size = 500;
+      spec.game.bootstrap_size = 500;
+      spec.game.attack_ratio = 0.1;
+      switch (kind) {
+        case Kind::kScalar:
+          spec.model = TenantModelKind::kScalar;
+          spec.scalar_pool = &taxi;
+          break;
+        case Kind::kDistance:
+          spec.model = TenantModelKind::kDistance;
+          spec.dataset = &control;
+          break;
+        case Kind::kLdp:
+          spec.model = TenantModelKind::kLdp;
+          spec.ldp_population = &population;
+          spec.ldp_mechanism = &mechanism;
+          spec.ldp_attack = &attack;
+          break;
+        case Kind::kResidual:
+        case Kind::kFitted:
+          spec.model = TenantModelKind::kResidual;
+          spec.regression = &regression;
+          if (kind == Kind::kFitted) {
+            spec.reference = TenantReferenceKind::kFittedModel;
+          }
+          break;
+      }
+      const uint64_t seed = DeriveTenantSeed(900, index);
+      Tenant tenant = MaterializeTenant(spec, seed).ValueOrDie();
+      ASSERT_TRUE(tenant.session->Bootstrap().ok());
+
+      Tenant replica = MaterializeTenant(spec, seed).ValueOrDie();
+      ASSERT_TRUE(replica.model->BeginRun().ok());
+      Rng rng(replica.config.seed);
+      PublicBoard unsealed(0);
+      ASSERT_TRUE(replica.model
+                      ->Bootstrap(replica.config.bootstrap_size, &rng,
+                                  &unsealed)
+                      .ok());
+      std::vector<double> sorted = unsealed.values();
+      std::sort(sorted.begin(), sorted.end());
+      // No -0.0 on these boards, so std::sort's arrangement is unique.
+      for (double v : sorted) ASSERT_FALSE(v == 0.0 && std::signbit(v));
+      ExpectQueriesMatchStdSortedReplica(tenant.session->board(), sorted);
+    }
+  }
 }
 
 #ifndef NDEBUG

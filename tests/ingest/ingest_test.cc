@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/bounded_queue.h"
+#include "common/rng.h"
 #include "data/generators.h"
 #include "exp/schemes.h"
 #include "fleet/tenant.h"
@@ -238,6 +240,110 @@ TEST_F(IngestServiceTest, CoalescesReportsIntoRounds) {
   EXPECT_EQ(stats.reports_enqueued, 25u + 25u + 30u + 40u + 39u);
   EXPECT_EQ(stats.rounds_played, 3u);
   EXPECT_EQ(stats.reports_rate_limited, 0u);
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+// One frame carrying the largest uint32 count used to wrap the lane's
+// 32-bit pending count: 1 + 0xFFFFFFFF admitted reports left pending at 0
+// and played no round. The frame is now refused at the door, and the
+// report already pending still completes a round with the next ones.
+TEST_F(IngestServiceTest, RejectsEventsAboveTheReportBound) {
+  const int kRoundSize = 40;
+  FleetConfig config;
+  SessionFleet fleet(config, ScalarSpecs(1, kRoundSize));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+  IngestConfig ingest;
+  ingest.shards = 1;
+  IngestService service(ingest, &fleet);
+  ASSERT_TRUE(service.Start().ok());
+
+  auto submit_frame = [&service](uint32_t reports) {
+    unsigned char frame[kIngestFrameBytes];
+    EncodeIngestEvent({0, reports}, frame);
+    return service.SubmitFrame(frame, kIngestFrameBytes);
+  };
+  ASSERT_TRUE(submit_frame(1).ok());
+  ASSERT_TRUE(service.Flush().ok());
+  EXPECT_EQ(submit_frame(0xFFFFFFFFu).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(submit_frame(kMaxReportsPerEvent + 1).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(service.Flush().ok());
+  IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.events_rejected, 2u);
+  EXPECT_EQ(stats.reports_enqueued, 1u);
+  EXPECT_EQ(stats.rounds_played, 0u);
+
+  // rounds_played * round_size + pending == reports admitted: the one
+  // pending report plus 39 more play exactly one round.
+  ASSERT_TRUE(submit_frame(kRoundSize - 1).ok());
+  ASSERT_TRUE(service.Flush().ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.reports_enqueued, static_cast<uint64_t>(kRoundSize));
+  EXPECT_EQ(stats.rounds_played, 1u);
+  EXPECT_EQ(fleet.TenantRounds(0).ValueOrDie().size(), 1u);
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+// Random and boundary report counts through SubmitFrame: zero counts fail
+// to decode, counts above kMaxReportsPerEvent are refused and counted, and
+// the rest are played exactly — rounds_played * round_size + pending equals
+// the reports admitted, with pending < round_size after a flush. The large
+// round keeps the events at the bound to a few hundred rounds each.
+TEST_F(IngestServiceTest, FrameCountFuzzKeepsTheExactWorkIdentity) {
+  const int kRoundSize = 5000;
+  const uint32_t kBound = kMaxReportsPerEvent;
+  FleetConfig config;
+  SessionFleet fleet(config, ScalarSpecs(2, kRoundSize));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+  IngestConfig ingest;
+  ingest.shards = 2;
+  IngestService service(ingest, &fleet);
+  ASSERT_TRUE(service.Start().ok());
+
+  const uint32_t boundary[] = {0,          1,          kBound - 1,
+                               kBound,     kBound + 1, 0x7FFFFFFFu,
+                               0x80000000u, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  Rng rng(2024);
+  uint64_t admitted[2] = {0, 0};
+  uint64_t refused = 0;
+  for (int i = 0; i < 120; ++i) {
+    IngestEvent event;
+    event.tenant_id = rng.UniformInt(2);
+    switch (rng.UniformInt(3)) {
+      case 0:
+        event.reports = boundary[rng.UniformInt(std::size(boundary))];
+        break;
+      case 1:
+        event.reports = static_cast<uint32_t>(rng.UniformInt(3 * kRoundSize));
+        break;
+      default:
+        event.reports =
+            static_cast<uint32_t>(rng.UniformInt(uint64_t{1} << 32));
+        break;
+    }
+    unsigned char frame[kIngestFrameBytes];
+    EncodeIngestEvent(event, frame);
+    const Status status = service.SubmitFrame(frame, kIngestFrameBytes);
+    if (event.reports >= 1 && event.reports <= kBound) {
+      ASSERT_TRUE(status.ok()) << event.reports;
+      admitted[event.tenant_id] += event.reports;
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << event.reports;
+      // A zero count fails to decode and never reaches the service.
+      if (event.reports != 0) ++refused;
+    }
+  }
+  ASSERT_TRUE(service.Flush().ok());
+  const IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.events_rejected, refused);
+  EXPECT_EQ(stats.reports_enqueued, admitted[0] + admitted[1]);
+  uint64_t rounds = 0;
+  for (size_t t = 0; t < 2; ++t) {
+    const uint64_t played = fleet.TenantRounds(t).ValueOrDie().size();
+    EXPECT_EQ(played, admitted[t] / kRoundSize) << "tenant " << t;
+    rounds += played;
+  }
+  EXPECT_EQ(stats.rounds_played, rounds);
   EXPECT_TRUE(service.Stop().ok());
 }
 
