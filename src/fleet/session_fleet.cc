@@ -32,10 +32,9 @@ Status TenantStatus(size_t index, const std::string& name,
   return Status::WithCode(status.code(), std::move(msg));
 }
 
-// In-place p10/p50/p90: sorts `values` and interpolates exactly like
-// Quantiles(values, {0.10, 0.50, 0.90}) (same sort, same QuantileSorted
-// arithmetic — bit-identical), but without the copy and the result-vector
-// allocation, so the per-round reduction can run entirely in fleet scratch.
+// In-place p10/p50/p90: sorts `values` once and reads the three quantiles
+// with QuantileSorted, without a copy or a result-vector allocation, so the
+// per-round reduction can run entirely in fleet scratch.
 FleetQuantiles QuantileTriple(std::vector<double>* values) {
   FleetQuantiles q;
   if (values->empty()) return q;
@@ -125,15 +124,18 @@ Status SessionFleet::BeginPerTenantStepping() {
   return Status::OK();
 }
 
+Status SessionFleet::CheckTenantIndex(size_t i) const {
+  if (i < tenants_.size()) return Status::OK();
+  return Status::OutOfRange("tenant index " + std::to_string(i) +
+                            " out of range");
+}
+
 Result<RoundRecord> SessionFleet::StepTenant(size_t i) {
   if (!per_tenant_mode_) {
     return Status::FailedPrecondition(
         "per-tenant stepping requires BeginPerTenantStepping()");
   }
-  if (i >= tenants_.size()) {
-    return Status::OutOfRange("tenant index " + std::to_string(i) +
-                              " out of range");
-  }
+  ITRIM_RETURN_NOT_OK(CheckTenantIndex(i));
   if (!tenants_[i].resident()) {
     return Status::FailedPrecondition(
         "tenant #" + std::to_string(i) + " is hibernated; rehydrate first");
@@ -150,10 +152,7 @@ Status SessionFleet::HibernateTenant(size_t i) {
     return Status::FailedPrecondition(
         "hibernation requires BeginPerTenantStepping()");
   }
-  if (i >= tenants_.size()) {
-    return Status::OutOfRange("tenant index " + std::to_string(i) +
-                              " out of range");
-  }
+  ITRIM_RETURN_NOT_OK(CheckTenantIndex(i));
   Status status = itrim::HibernateTenant(&tenants_[i]);
   if (!status.ok()) return TenantStatus(i, specs_[i].name, status);
   return Status::OK();
@@ -164,10 +163,7 @@ Status SessionFleet::RehydrateTenant(size_t i) {
     return Status::FailedPrecondition(
         "rehydration requires BeginPerTenantStepping()");
   }
-  if (i >= tenants_.size()) {
-    return Status::OutOfRange("tenant index " + std::to_string(i) +
-                              " out of range");
-  }
+  ITRIM_RETURN_NOT_OK(CheckTenantIndex(i));
   Status status = itrim::RehydrateTenant(&tenants_[i]);
   if (!status.ok()) return TenantStatus(i, specs_[i].name, status);
   return Status::OK();
@@ -186,10 +182,7 @@ size_t SessionFleet::ResidentTenants() const {
 }
 
 Result<std::vector<RoundRecord>> SessionFleet::TenantRounds(size_t i) const {
-  if (i >= tenants_.size()) {
-    return Status::OutOfRange("tenant index " + std::to_string(i) +
-                              " out of range");
-  }
+  ITRIM_RETURN_NOT_OK(CheckTenantIndex(i));
   if (tenants_[i].resident()) {
     std::span<const RoundRecord> records = tenants_[i].session->records();
     return std::vector<RoundRecord>(records.begin(), records.end());
@@ -276,9 +269,7 @@ Status SessionFleet::AttachTenantObservability(size_t i,
   if (!bootstrapped_ && !per_tenant_mode_) {
     return Status::FailedPrecondition("fleet is not bootstrapped");
   }
-  if (i >= tenants_.size()) {
-    return Status::InvalidArgument("tenant index out of range");
-  }
+  ITRIM_RETURN_NOT_OK(CheckTenantIndex(i));
   tenants_[i].obs = sinks;
   if (tenants_[i].resident()) {
     tenants_[i].session->set_observability(sinks);

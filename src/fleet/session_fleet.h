@@ -224,6 +224,8 @@ class SessionFleet {
                                   const std::vector<RoundRecord>& records);
   /// Rebuilds round_aggregates_ from the sessions' replayed records.
   void RebuildAggregates();
+  /// OutOfRange unless `i` names a materialized tenant.
+  Status CheckTenantIndex(size_t i) const;
 
   FleetConfig config_;
   std::vector<TenantSpec> specs_;

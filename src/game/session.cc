@@ -35,29 +35,21 @@ double GameSummary::UntrimmedPoisonFraction() const {
 }
 
 double GameSummary::BenignLossFraction() const {
-  size_t received = 0, kept = 0;
-  for (const auto& r : rounds) {
-    received += r.benign_received;
-    kept += r.benign_kept;
-  }
+  size_t received = TotalBenignReceived();
   if (received == 0) return 0.0;
-  return static_cast<double>(received - kept) / static_cast<double>(received);
+  return static_cast<double>(received - TotalBenignKept()) /
+         static_cast<double>(received);
 }
 
 double GameSummary::PoisonSurvivalRate() const {
-  size_t received = 0, kept = 0;
-  for (const auto& r : rounds) {
-    received += r.poison_received;
-    kept += r.poison_kept;
-  }
+  size_t received = TotalPoisonReceived();
   if (received == 0) return 0.0;
-  return static_cast<double>(kept) / static_cast<double>(received);
+  return static_cast<double>(TotalPoisonKept()) /
+         static_cast<double>(received);
 }
 
 size_t GameSummary::TotalKept() const {
-  size_t n = 0;
-  for (const auto& r : rounds) n += r.benign_kept + r.poison_kept;
-  return n;
+  return TotalPoisonKept() + TotalBenignKept();
 }
 
 size_t GameSummary::TotalPoisonKept() const {

@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "common/math_util.h"
 #include "game/kernels.h"
 #include "stats/quantile.h"
 
@@ -87,29 +86,6 @@ void TrimTopFractionInto(std::span<const double> values, double q,
   }
   out->removed_count = remove;
   out->kept_count = values.size() - remove;
-}
-
-DistanceTrimmer::DistanceTrimmer(std::vector<double> centroid)
-    : centroid_(std::move(centroid)) {}
-
-std::vector<double> DistanceTrimmer::Scores(
-    const std::vector<std::vector<double>>& rows) const {
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    out.push_back(EuclideanDistance(row, centroid_));
-  }
-  return out;
-}
-
-Result<TrimOutcome> DistanceTrimmer::TrimRows(
-    const std::vector<std::vector<double>>& rows,
-    const std::vector<double>& reference_distances, double q) const {
-  if (reference_distances.empty()) {
-    return Status::FailedPrecondition("empty reference distance sample");
-  }
-  std::vector<double> scores = Scores(rows);
-  return TrimAtReferencePercentile(scores, reference_distances, q);
 }
 
 }  // namespace itrim

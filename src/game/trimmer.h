@@ -8,9 +8,6 @@
 //    distribution (the public board), applied to the incoming round.
 //  * TrimTopFraction     — remove the top (1-q) mass fraction of the round
 //    itself (the `prctile`-on-received semantics; robust to percentile atoms).
-//
-// Multi-dimensional rounds are reduced to scalars by the distance transform
-// (distance to a reference centroid) in DistanceTrimmer.
 #ifndef ITRIM_GAME_TRIMMER_H_
 #define ITRIM_GAME_TRIMMER_H_
 
@@ -57,41 +54,6 @@ TrimOutcome TrimTopFraction(std::span<const double> values, double q);
 /// their capacity, so a warm pair makes repeated trims allocation-free.
 void TrimTopFractionInto(std::span<const double> values, double q,
                          std::vector<size_t>* idx_scratch, TrimOutcome* out);
-
-/// \brief Applies a keep-mask, returning the surviving elements.
-template <typename T>
-std::vector<T> ApplyMask(const std::vector<T>& values,
-                         const std::vector<char>& keep) {
-  std::vector<T> out;
-  out.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (keep[i]) out.push_back(values[i]);
-  }
-  return out;
-}
-
-/// \brief Distance transform for multi-dimensional rounds: scores each row
-/// by Euclidean distance to a reference centroid.
-class DistanceTrimmer {
- public:
-  /// Captures the reference centroid (copied).
-  explicit DistanceTrimmer(std::vector<double> centroid);
-
-  /// \brief Distance scores of `rows` against the centroid.
-  std::vector<double> Scores(
-      const std::vector<std::vector<double>>& rows) const;
-
-  /// \brief Removes rows whose distance exceeds the q-quantile of the
-  /// reference distance sample `reference_distances`.
-  Result<TrimOutcome> TrimRows(const std::vector<std::vector<double>>& rows,
-                               const std::vector<double>& reference_distances,
-                               double q) const;
-
-  const std::vector<double>& centroid() const { return centroid_; }
-
- private:
-  std::vector<double> centroid_;
-};
 
 }  // namespace itrim
 

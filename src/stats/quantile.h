@@ -9,10 +9,7 @@
 #ifndef ITRIM_STATS_QUANTILE_H_
 #define ITRIM_STATS_QUANTILE_H_
 
-#include <cstddef>
 #include <vector>
-
-#include "common/status.h"
 
 namespace itrim {
 
@@ -23,50 +20,8 @@ double QuantileSorted(const std::vector<double>& sorted, double q);
 /// \brief q-quantile of an unsorted sample (copies + sorts internally).
 double Quantile(std::vector<double> values, double q);
 
-/// \brief Multiple quantiles of one sample with a single sort.
-std::vector<double> Quantiles(std::vector<double> values,
-                              const std::vector<double>& qs);
-
-/// \brief Fraction of `values` that are <= x (empirical CDF).
-double EmpiricalCdf(const std::vector<double>& values, double x);
-
 /// \brief Rank of `x` within `sorted` as a percentile in [0,1].
 double PercentileRankSorted(const std::vector<double>& sorted, double x);
-
-/// \brief Streaming quantile estimator (P-squared algorithm, Jain & Chlamtac
-/// 1985): estimates one fixed quantile with O(1) memory.
-///
-/// Used on the public board so the collector's reference quantiles can be
-/// maintained over an unbounded stream without retaining all observations.
-class P2Quantile {
- public:
-  /// Creates an estimator for quantile `q` in (0, 1).
-  explicit P2Quantile(double q);
-
-  /// \brief Absorbs one observation.
-  void Add(double x);
-
-  /// \brief Current estimate; exact until 5 samples are seen.
-  /// Returns 0 when empty.
-  double Estimate() const;
-
-  /// \brief Number of samples absorbed.
-  size_t count() const { return count_; }
-
- private:
-  void AdjustMarkers();
-  double Parabolic(int i, double d) const;
-  double Linear(int i, double d) const;
-
-  double q_;
-  size_t count_ = 0;
-  // Marker heights, positions, and desired positions (P² state).
-  double heights_[5] = {0, 0, 0, 0, 0};
-  double positions_[5] = {1, 2, 3, 4, 5};
-  double desired_[5] = {1, 1, 1, 1, 1};
-  double increments_[5] = {0, 0, 0, 0, 0};
-  std::vector<double> initial_;
-};
 
 }  // namespace itrim
 

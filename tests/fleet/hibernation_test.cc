@@ -217,6 +217,8 @@ TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
             StatusCode::kFailedPrecondition);
 
   EXPECT_EQ(fleet.StepTenant(7).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(fleet.AttachTenantObservability(fleet.num_tenants(), {}).code(),
+            StatusCode::kOutOfRange);
   ASSERT_TRUE(fleet.HibernateTenant(0).ok());
   EXPECT_EQ(fleet.HibernateTenant(0).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(fleet.StepTenant(0).status().code(),

@@ -96,42 +96,6 @@ TEST(TrimTopFractionTest, AtomAtThresholdPartiallyRemoved) {
   EXPECT_EQ(atoms_kept, 10u);
 }
 
-TEST(ApplyMaskTest, FiltersValues) {
-  std::vector<int> v = {10, 20, 30};
-  std::vector<char> keep = {1, 0, 1};
-  auto out = ApplyMask(v, keep);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], 10);
-  EXPECT_EQ(out[1], 30);
-}
-
-TEST(DistanceTrimmerTest, ScoresAreDistances) {
-  DistanceTrimmer trimmer({0.0, 0.0});
-  auto scores = trimmer.Scores({{3.0, 4.0}, {0.0, 0.0}});
-  EXPECT_DOUBLE_EQ(scores[0], 5.0);
-  EXPECT_DOUBLE_EQ(scores[1], 0.0);
-}
-
-TEST(DistanceTrimmerTest, TrimsFarRows) {
-  DistanceTrimmer trimmer({0.0});
-  std::vector<std::vector<double>> rows = {{0.1}, {0.5}, {100.0}};
-  std::vector<double> reference_distances;
-  Rng rng(4);
-  for (int i = 0; i < 1000; ++i) {
-    reference_distances.push_back(std::fabs(rng.Normal()));
-  }
-  auto outcome =
-      trimmer.TrimRows(rows, reference_distances, 0.99).ValueOrDie();
-  EXPECT_EQ(outcome.keep[0], 1);
-  EXPECT_EQ(outcome.keep[1], 1);
-  EXPECT_EQ(outcome.keep[2], 0);
-}
-
-TEST(DistanceTrimmerTest, EmptyReferenceFails) {
-  DistanceTrimmer trimmer({0.0});
-  EXPECT_FALSE(trimmer.TrimRows({{1.0}}, {}, 0.9).ok());
-}
-
 // Property: for any data, reference-percentile trimming keeps a value iff
 // its value is <= the reference quantile — so keeping is monotone in q.
 class TrimMonotonicityTest : public ::testing::TestWithParam<uint64_t> {};

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -63,21 +62,6 @@ TEST(QuantileTest, MonotoneInQ) {
   }
 }
 
-TEST(QuantilesTest, MultipleAtOnceMatchSingle) {
-  std::vector<double> v = {5.0, 1.0, 4.0, 2.0, 3.0};
-  auto qs = Quantiles(v, {0.1, 0.5, 0.9});
-  EXPECT_DOUBLE_EQ(qs[1], Quantile(v, 0.5));
-  EXPECT_EQ(qs.size(), 3u);
-}
-
-TEST(EmpiricalCdfTest, Values) {
-  std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(EmpiricalCdf(v, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(EmpiricalCdf(v, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(EmpiricalCdf(v, 10.0), 1.0);
-  EXPECT_DOUBLE_EQ(EmpiricalCdf({}, 1.0), 0.0);
-}
-
 TEST(PercentileRankSortedTest, Values) {
   std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(PercentileRankSorted(v, 2.5), 0.5);
@@ -96,56 +80,6 @@ TEST(QuantileRankInverseTest, RankOfQuantileIsApproxQ) {
     EXPECT_NEAR(rank, q, 0.01);
   }
 }
-
-// --- P2 online estimator ----------------------------------------------------
-
-TEST(P2QuantileTest, ExactForFewSamples) {
-  P2Quantile est(0.5);
-  est.Add(3.0);
-  est.Add(1.0);
-  est.Add(2.0);
-  EXPECT_DOUBLE_EQ(est.Estimate(), 2.0);
-  EXPECT_EQ(est.count(), 3u);
-}
-
-TEST(P2QuantileTest, EmptyReturnsZero) {
-  P2Quantile est(0.9);
-  EXPECT_DOUBLE_EQ(est.Estimate(), 0.0);
-}
-
-class P2AccuracyTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(P2AccuracyTest, TracksUniformQuantile) {
-  const double q = GetParam();
-  P2Quantile est(q);
-  Rng rng(101);
-  std::vector<double> all;
-  for (int i = 0; i < 20000; ++i) {
-    double x = rng.Uniform();
-    est.Add(x);
-    all.push_back(x);
-  }
-  double exact = Quantile(all, q);
-  EXPECT_NEAR(est.Estimate(), exact, 0.02) << "q=" << q;
-}
-
-TEST_P(P2AccuracyTest, TracksNormalQuantile) {
-  const double q = GetParam();
-  P2Quantile est(q);
-  Rng rng(202);
-  std::vector<double> all;
-  for (int i = 0; i < 20000; ++i) {
-    double x = rng.Normal();
-    est.Add(x);
-    all.push_back(x);
-  }
-  double exact = Quantile(all, q);
-  EXPECT_NEAR(est.Estimate(), exact, 0.08) << "q=" << q;
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2AccuracyTest,
-                         ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
-                                           0.99));
 
 }  // namespace
 }  // namespace itrim
