@@ -19,6 +19,7 @@
 #include "common/table_printer.h"
 #include "data/generators.h"
 #include "exp/experiments.h"
+#include "game/reference_policy.h"
 #include "game/score_model.h"
 #include "game/session.h"
 #include "game/strategies.h"
@@ -53,10 +54,11 @@ int main(int argc, char** argv) {
       config.round_size = 200;
       config.attack_ratio = 0.3;
       config.tth = 0.9;
-      config.round_mass_trimming = true;
       config.seed = 42 + static_cast<uint64_t>(rep);
       DistanceScoreModel model(&data);
-      TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+      RoundMassReference round_mass;
+      TrimmingSession game(config, &model, &collector, &adversary, nullptr,
+                           &round_mass);
       auto summary = game.RunToCompletion();
       if (!summary.ok()) {
         std::cerr << "ERROR: " << summary.status().ToString() << "\n";

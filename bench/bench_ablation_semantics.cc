@@ -43,17 +43,17 @@ int main(int argc, char** argv) {
       double survival = 0.0, loss = 0.0, untrimmed = 0.0;
       for (int rep = 0; rep < reps; ++rep) {
         TenantSpec spec;
-        spec.model = ModelKind::kDistance;
+        spec.model = TenantModelKind::kDistance;
         spec.scheme = id;
         spec.scheme_options.seed = 11 + static_cast<uint64_t>(rep);
         spec.game.rounds = 15;
         spec.game.round_size = 200;
         spec.game.attack_ratio = kRatio;
         spec.game.tth = kTth;
-        spec.game.round_mass_trimming = round_mass;
         spec.game.seed = 1000 + static_cast<uint64_t>(rep) * 7 +
                          static_cast<uint64_t>(id);
         spec.retain_survivors = true;
+        if (round_mass) spec.reference = TenantReferenceKind::kRoundMass;
         spec.dataset = &data;
         auto tenant = MaterializeTenant(spec, spec.game.seed);
         if (!tenant.ok()) {

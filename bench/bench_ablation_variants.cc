@@ -20,6 +20,7 @@
 #include "common/table_printer.h"
 #include "data/generators.h"
 #include "game/quality.h"
+#include "game/reference_policy.h"
 #include "game/score_model.h"
 #include "game/session.h"
 #include "game/strategies.h"
@@ -76,11 +77,11 @@ int main(int argc, char** argv) {
         config.round_size = 2000;
         config.attack_ratio = 0.2;
         config.tth = 0.9;
-        config.round_mass_trimming = true;
         config.seed = seed;
         DistanceScoreModel model(&data);
+        RoundMassReference round_mass;
         TrimmingSession game(config, &model, collector.get(), &adversary,
-                             &quality);
+                             &quality, &round_mass);
         auto summary = game.RunToCompletion();
         if (!summary.ok()) {
           std::cerr << "ERROR: " << summary.status().ToString() << "\n";

@@ -78,7 +78,11 @@ struct IngestFixture {
       spec.game.bootstrap_size = 40;
       spec.game.board_capacity = 512;
       spec.game.attack_ratio = 0.10 + 0.05 * static_cast<double>(i % 3);
-      spec.game.round_mass_trimming = (i % 2) == 0;
+      // Even tenants trim by round mass, except LDP ones: their band trim
+      // is defined against the board reference.
+      if ((i % 2) == 0 && spec.model != TenantModelKind::kLdp) {
+        spec.reference = TenantReferenceKind::kRoundMass;
+      }
       switch (spec.model) {
         case TenantModelKind::kScalar:
           spec.scalar_pool = &pool;

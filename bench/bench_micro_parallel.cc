@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   // RunKmeansExperiment.
   auto run_arm = [&](size_t arm) {
     TenantSpec spec;
-    spec.model = ModelKind::kDistance;
+    spec.model = TenantModelKind::kDistance;
+    spec.reference = TenantReferenceKind::kRoundMass;
     spec.scheme = SchemeId::kElastic05;
     spec.scheme_options.seed = 1000 + static_cast<uint64_t>(arm) * 7919;
     spec.game.rounds = 12;
@@ -54,7 +55,6 @@ int main(int argc, char** argv) {
     spec.game.attack_ratio = 0.3;
     spec.game.tth = 0.9;
     spec.game.bootstrap_size = 200;
-    spec.game.round_mass_trimming = true;
     spec.game.seed = 42 + static_cast<uint64_t>(arm) * 104729;
     spec.retain_survivors = true;
     spec.dataset = &data;

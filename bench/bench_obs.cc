@@ -83,7 +83,7 @@ struct ObsFixture {
       spec.game.bootstrap_size = 40;
       spec.game.board_capacity = 512;
       spec.game.attack_ratio = 0.10 + 0.05 * static_cast<double>(i % 3);
-      spec.game.round_mass_trimming = (i % 2) == 0;
+      if ((i % 2) == 0) spec.reference = TenantReferenceKind::kRoundMass;
       specs.push_back(spec);
     }
     return specs;

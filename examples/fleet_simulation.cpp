@@ -51,7 +51,7 @@ int main() {
         break;
       case TenantModelKind::kDistance:
         spec.dataset = &data;
-        spec.game.round_mass_trimming = true;  // the ML-pipeline semantics
+        spec.reference = TenantReferenceKind::kRoundMass;  // ML pipelines
         break;
       case TenantModelKind::kLdp:
         spec.ldp_population = &population;

@@ -40,13 +40,13 @@ int main(int argc, char** argv) {
   for (SchemeId id : PlottedSchemes()) {
     const std::string name = SchemeName(id);
     TenantSpec spec;
-    spec.model = ModelKind::kDistance;
+    spec.model = TenantModelKind::kDistance;
     spec.scheme = id;
+    spec.reference = TenantReferenceKind::kRoundMass;  // the Fig 4 pipeline
     spec.game.rounds = 20;
     spec.game.round_size = 150;
     spec.game.attack_ratio = attack_ratio;
     spec.game.tth = 0.9;
-    spec.game.round_mass_trimming = true;  // the Fig 4 pipeline semantics
     spec.game.seed = 7;
     spec.retain_survivors = true;  // k-means trains on the survivors
     spec.dataset = &control;

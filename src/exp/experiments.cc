@@ -9,8 +9,8 @@
 #include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "data/generators.h"
-#include "exp/score_model_factory.h"
 #include "fleet/tenant.h"
+#include "game/reference_policy.h"
 #include "game/score_model.h"
 #include "game/session.h"
 #include "ldp/attacks.h"
@@ -25,30 +25,29 @@ namespace itrim {
 namespace {
 
 // Builds the per-run game configuration shared by the ML experiments.
-// The paper's MATLAB pipeline trims each round with prctile on the received
-// data, i.e. removes the top (1 - T) mass fraction of the round — the
-// round_mass semantics — so the ML experiments default to it.
 GameConfig MakeGameConfig(int rounds, size_t round_size, double attack_ratio,
-                          double tth, uint64_t seed,
-                          bool round_mass_trimming = true) {
+                          double tth, uint64_t seed) {
   GameConfig g;
   g.rounds = rounds;
   g.round_size = round_size;
   g.attack_ratio = attack_ratio;
   g.tth = tth;
   g.bootstrap_size = std::max<size_t>(200, round_size);
-  g.round_mass_trimming = round_mass_trimming;
   g.seed = seed;
   return g;
 }
 
 // Declares one scheme-driven arm of the ML experiments: `id` plays over the
-// distance model of `data`, keeping its survivors for the model fit.
+// distance model of `data`, keeping its survivors for the model fit. The
+// paper's MATLAB pipeline trims each round with prctile on the received
+// data, i.e. removes the top (1 - T) mass fraction of the round, so every
+// ML arm plays the round-mass trim.
 TenantSpec DistanceArmSpec(const Dataset* data, SchemeId id,
                            const SchemeOptions& options,
                            const GameConfig& game) {
   TenantSpec spec;
-  spec.model = ModelKind::kDistance;
+  spec.model = TenantModelKind::kDistance;
+  spec.reference = TenantReferenceKind::kRoundMass;
   spec.scheme = id;
   spec.scheme_options = options;
   spec.game = game;
@@ -409,7 +408,7 @@ Result<std::vector<NonEquilibriumRow>> RunNonEquilibriumExperiment(
                         static_cast<uint64_t>(p * 1000.0);
         GameConfig game_config = MakeGameConfig(
             config.rounds, config.round_size, config.attack_ratio,
-            config.tth, seed, /*round_mass_trimming=*/true);
+            config.tth, seed);
 
         // Titfortat: untriggered soft trim at Tth + 1%; once the judgement
         // fires, trims at the 90th percentile permanently (Section VI-D).
@@ -421,8 +420,9 @@ Result<std::vector<NonEquilibriumRow>> RunNonEquilibriumExperiment(
             0.90, 0.99, config.sigma0, config.sigma_tail, seed ^ 0xBEEF,
             DefectShareQuality::CutoffMode::kAbsolute);
         DistanceScoreModel model_tft(&data);
+        RoundMassReference round_mass_tft;
         TrimmingSession game_tft(game_config, &model_tft, &titfortat,
-                                 &adversary_tft, &quality);
+                                 &adversary_tft, &quality, &round_mass_tft);
         GameSummary tft;
         ITRIM_ASSIGN_OR_RETURN(tft, game_tft.RunToCompletion());
         arms[arm].termination =
@@ -437,8 +437,9 @@ Result<std::vector<NonEquilibriumRow>> RunNonEquilibriumExperiment(
         GameConfig elastic_config = game_config;
         elastic_config.seed = seed ^ 0xD00D;
         DistanceScoreModel model_ela(&data);
+        RoundMassReference round_mass_ela;
         TrimmingSession game_ela(elastic_config, &model_ela, &elastic,
-                                 &adversary_ela, nullptr);
+                                 &adversary_ela, nullptr, &round_mass_ela);
         GameSummary ela;
         ITRIM_ASSIGN_OR_RETURN(ela, game_ela.RunToCompletion());
         arms[arm].elastic_untrimmed = ela.UntrimmedPoisonFraction();

@@ -3,37 +3,106 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "ldp/report_score_model.h"
 
 namespace itrim {
 
 std::string TenantModelKindName(TenantModelKind kind) {
-  return ModelKindName(kind);
+  switch (kind) {
+    case TenantModelKind::kScalar:
+      return "scalar";
+    case TenantModelKind::kDistance:
+      return "distance";
+    case TenantModelKind::kLdp:
+      return "ldp";
+    case TenantModelKind::kResidual:
+      return "residual";
+  }
+  return "unknown";
 }
 
-ScoreModelInputs TenantSpec::ModelInputs() const {
-  ScoreModelInputs inputs;
-  inputs.scalar_pool = scalar_pool;
-  inputs.dataset = dataset;
-  inputs.ldp_population = ldp_population;
-  inputs.ldp_mechanism = ldp_mechanism;
-  inputs.ldp_attack = ldp_attack;
-  inputs.ldp_tth = game.tth;
-  inputs.regression = regression;
-  inputs.regression_poison = regression_poison;
-  return inputs;
+namespace {
+
+// Verifies the model kind's required data sources are present and
+// non-empty.
+Status ValidateDataSources(const TenantSpec& spec) {
+  switch (spec.model) {
+    case TenantModelKind::kScalar:
+      if (spec.scalar_pool == nullptr || spec.scalar_pool->empty()) {
+        return Status::InvalidArgument(
+            "scalar model needs a non-empty scalar_pool");
+      }
+      break;
+    case TenantModelKind::kDistance:
+      if (spec.dataset == nullptr || spec.dataset->rows.empty()) {
+        return Status::InvalidArgument(
+            "distance model needs a non-empty dataset");
+      }
+      break;
+    case TenantModelKind::kLdp:
+      if (spec.ldp_population == nullptr || spec.ldp_population->empty()) {
+        return Status::InvalidArgument(
+            "ldp model needs a non-empty ldp_population");
+      }
+      if (spec.ldp_mechanism == nullptr) {
+        return Status::InvalidArgument("ldp model needs an ldp_mechanism");
+      }
+      break;
+    case TenantModelKind::kResidual:
+      if (spec.regression == nullptr || spec.regression->size() == 0) {
+        return Status::InvalidArgument(
+            "residual model needs non-empty regression data");
+      }
+      if (spec.regression->dims == 0) {
+        return Status::InvalidArgument(
+            "residual model needs regression data with dims >= 1");
+      }
+      if (spec.regression->xs.size() !=
+          spec.regression->size() * spec.regression->dims) {
+        return Status::InvalidArgument(
+            "residual model regression data shape mismatch (xs must hold "
+            "size() * dims doubles)");
+      }
+      break;
+  }
+  return Status::OK();
 }
+
+// Builds the score model of a validated spec over its borrowed sources.
+std::unique_ptr<ScoreModel> MakeScoreModel(const TenantSpec& spec) {
+  switch (spec.model) {
+    case TenantModelKind::kScalar:
+      return std::make_unique<IdentityScoreModel>(spec.scalar_pool);
+    case TenantModelKind::kDistance:
+      return std::make_unique<DistanceScoreModel>(spec.dataset);
+    case TenantModelKind::kLdp:
+      return std::make_unique<LdpReportScoreModel>(
+          spec.ldp_population, spec.ldp_mechanism, spec.ldp_attack,
+          spec.game.tth);
+    case TenantModelKind::kResidual:
+      return std::make_unique<ResidualScoreModel>(spec.regression,
+                                                  spec.regression_poison);
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 Status TenantSpec::Validate() const {
   ITRIM_RETURN_NOT_OK(game.Validate());
-  ITRIM_RETURN_NOT_OK(ValidateScoreModelInputs(model, ModelInputs()));
+  ITRIM_RETURN_NOT_OK(ValidateDataSources(*this));
   // Groundtruth tenants run with attack_ratio forced to 0 at
-  // materialization, so they never draw a poison report; only the tenant
-  // knows that, so the attack requirement stays here rather than in the
-  // factory's per-kind check.
+  // materialization, so they never draw a poison report.
   if (model == TenantModelKind::kLdp && ldp_attack == nullptr &&
       game.attack_ratio > 0.0 && scheme != SchemeId::kGroundtruth) {
     return Status::InvalidArgument(
         "ldp tenant with attack_ratio > 0 needs an ldp_attack");
+  }
+  if (reference == TenantReferenceKind::kRoundMass &&
+      model == TenantModelKind::kLdp) {
+    return Status::InvalidArgument(
+        "round-mass reference is undefined for the ldp model kind (its band "
+        "trim is defined against the board reference)");
   }
   if (reference == TenantReferenceKind::kFittedModel) {
     if (model != TenantModelKind::kResidual) {
@@ -73,23 +142,25 @@ Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed) {
   tenant.scheme =
       MakeScheme(spec.scheme, tenant.config.tth, spec.scheme_options);
 
-  AdversaryStrategy* adversary = tenant.scheme.adversary.get();
-  ScoreModelInputs inputs = spec.ModelInputs();
-  inputs.ldp_tth = tenant.config.tth;
-  if (spec.model == TenantModelKind::kLdp) {
-    // Poison is materialized by the attack, so the session runs without an
-    // AdversaryStrategy (one would consume RNG draws the LDP report stream
-    // never makes). LdpCollectionGame::RunTrimming wires its hand-built
-    // session the same way.
-    adversary = nullptr;
-    // The symmetric band trim is defined against the board reference.
-    tenant.config.round_mass_trimming = false;
-  }
-  ITRIM_ASSIGN_OR_RETURN(tenant.model, MakeScoreModel(spec.model, inputs));
+  // LDP poison is materialized by the attack, so the session runs without
+  // an AdversaryStrategy (one would consume RNG draws the LDP report stream
+  // never makes). LdpCollectionGame::RunTrimming wires its hand-built
+  // session the same way.
+  AdversaryStrategy* adversary = spec.model == TenantModelKind::kLdp
+                                     ? nullptr
+                                     : tenant.scheme.adversary.get();
+  tenant.model = MakeScoreModel(spec);
   tenant.model->set_retain_survivors(spec.retain_survivors);
-  if (spec.reference == TenantReferenceKind::kFittedModel) {
-    tenant.reference =
-        std::make_unique<FittedModelReference>(spec.fitted_reference);
+  switch (spec.reference) {
+    case TenantReferenceKind::kPercentile:
+      break;
+    case TenantReferenceKind::kFittedModel:
+      tenant.reference =
+          std::make_unique<FittedModelReference>(spec.fitted_reference);
+      break;
+    case TenantReferenceKind::kRoundMass:
+      tenant.reference = std::make_unique<RoundMassReference>();
+      break;
   }
   tenant.session = std::make_unique<TrimmingSession>(
       tenant.config, tenant.model.get(), tenant.scheme.collector.get(),

@@ -20,29 +20,38 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "exp/schemes.h"
-#include "exp/score_model_factory.h"
 #include "game/reference_policy.h"
 #include "game/score_model.h"
 #include "game/session.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
+#include "ml/linreg.h"
+#include "ml/residual_score_model.h"
 
 namespace itrim {
 
-/// \brief Data setting a tenant's session runs in — the fleet speaks the
-/// library-wide ModelKind vocabulary (exp/score_model_factory.h).
-using TenantModelKind = ModelKind;
+/// \brief Data setting a tenant's session runs in.
+enum class TenantModelKind {
+  kScalar = 0,  ///< IdentityScoreModel over a shared value pool
+  kDistance,    ///< DistanceScoreModel over a shared Dataset
+  kLdp,         ///< LdpReportScoreModel over population + mechanism + attack
+  kResidual,    ///< ResidualScoreModel over shared RegressionData
+};
 
 /// \brief Display name of a model kind
 /// ("scalar", "distance", "ldp", "residual").
 std::string TenantModelKindName(TenantModelKind kind);
 
-/// \brief Which trim reference the tenant's session plays against.
+/// \brief Which trim rule the tenant's session plays.
 enum class TenantReferenceKind {
   kPercentile = 0,  ///< board-quantile cutoff (the classical protocol)
   /// Model-in-the-loop: cutoff from residuals against a model refit on the
   /// round's survivor candidates (requires TenantModelKind::kResidual).
   kFittedModel,
+  /// Round-mass trim: removes the top (1 - q) mass of the received round,
+  /// the ML pipelines' `prctile` semantics. Not for TenantModelKind::kLdp,
+  /// whose symmetric band trim is defined against the board reference.
+  kRoundMass,
 };
 
 /// \brief Declarative description of one fleet tenant.
@@ -79,16 +88,14 @@ struct TenantSpec {
   const RegressionData* regression = nullptr;           ///< kResidual
   PoisonShape regression_poison = PoisonShape::kFlipShift;  ///< kResidual
 
-  /// Trim reference the session plays against; kFittedModel requires the
-  /// kResidual model kind (the only setting exposing observations).
+  /// Trim rule the session plays; kFittedModel requires the kResidual
+  /// model kind (the only setting exposing observations), and kRoundMass
+  /// is refused for kLdp.
   TenantReferenceKind reference = TenantReferenceKind::kPercentile;
   FittedModelReference::Options fitted_reference;  ///< kFittedModel only
 
-  /// \brief Assembles the factory inputs this spec describes.
-  ScoreModelInputs ModelInputs() const;
-
   /// \brief Checks the game config, the model kind's data sources and the
-  /// reference policy options.
+  /// reference kind and its options.
   Status Validate() const;
 };
 
@@ -115,7 +122,7 @@ struct Tenant {
   GameConfig config;           ///< effective config (derived seed applied)
   SchemeInstance scheme;       ///< owned collector/adversary/quality
   std::unique_ptr<ScoreModel> model;
-  /// Owned trim reference; null for kPercentile tenants (the session falls
+  /// Owned trim policy; null for kPercentile tenants (the session falls
   /// back to the shared stateless default).
   std::unique_ptr<ReferencePolicy> reference;
   std::unique_ptr<TrimmingSession> session;
@@ -133,12 +140,11 @@ struct Tenant {
 /// count never influence any tenant's randomness.
 uint64_t DeriveTenantSeed(uint64_t fleet_seed, size_t tenant_index);
 
-/// \brief Builds the tenant's strategies, score model and (un-bootstrapped)
-/// session from a validated spec. `seed` becomes the session seed;
-/// Groundtruth tenants run with attack_ratio forced to 0 (the clean
-/// reference, as in the experiment runners). LDP tenants run without an
-/// AdversaryStrategy (their attack materializes poison itself) and with
-/// board-reference trimming semantics.
+/// \brief Builds the tenant's strategies, score model, trim policy and
+/// (un-bootstrapped) session from a validated spec. `seed` becomes the
+/// session seed; Groundtruth tenants run with attack_ratio forced to 0 (the
+/// clean reference, as in the experiment runners). LDP tenants run without
+/// an AdversaryStrategy (their attack materializes poison itself).
 Result<Tenant> MaterializeTenant(const TenantSpec& spec, uint64_t seed);
 
 /// \brief Evicts a quiet tenant to its compact checkpoint: captures the

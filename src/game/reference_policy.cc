@@ -22,6 +22,13 @@ PercentileReference* DefaultReferencePolicy() {
   return &shared;
 }
 
+Status RoundMassReference::TrimRound(double percentile, ScoreModel* model,
+                                     const PublicBoard& /*board*/,
+                                     TrimOutcome* out) {
+  TrimTopFractionInto(model->scores(), percentile, &idx_scratch_, out);
+  return Status::OK();
+}
+
 namespace {
 
 /// De-interleaves the rows named by `selected[0..count)` out of the flat

@@ -11,9 +11,9 @@
 // federated aggregation setting) plug in without touching the engine.
 //
 // Policies are borrowed by the session like strategies are; a policy with
-// internal scratch (FittedModelReference) must not be shared by concurrent
-// sessions. The keep-all (percentile >= 1) and round-mass-trimming branches
-// stay in the engine — a policy only ever sees a real reference trim.
+// internal scratch (FittedModelReference, RoundMassReference) must not be
+// shared by concurrent sessions. Only the keep-all branch (percentile >= 1)
+// stays in the engine — a policy only ever sees a real trim.
 #ifndef ITRIM_GAME_REFERENCE_POLICY_H_
 #define ITRIM_GAME_REFERENCE_POLICY_H_
 
@@ -71,6 +71,21 @@ class PercentileReference : public ReferencePolicy {
 /// default when no policy is supplied (existing call sites keep their
 /// exact historical behavior).
 PercentileReference* DefaultReferencePolicy();
+
+/// \brief The ML pipelines' round-mass trim (the paper's MATLAB `prctile`
+/// on the received data, Section VI-A): removes the top ceil((1 - q) * n)
+/// scores of the round itself and never consults the board. Owns its index
+/// scratch, so each session owns its own instance (allocation-free once
+/// warm, like the session's other round-loop scratch).
+class RoundMassReference : public ReferencePolicy {
+ public:
+  std::string name() const override { return "round_mass"; }
+  Status TrimRound(double percentile, ScoreModel* model,
+                   const PublicBoard& board, TrimOutcome* out) override;
+
+ private:
+  std::vector<size_t> idx_scratch_;
+};
 
 /// \brief Model-in-the-loop reference: the round's kept set comes from
 /// iteratively refitting a linear model on the lowest-residual survivors

@@ -59,10 +59,11 @@ namespace itrim {
 ///
 /// The engine drives one model through a fixed sequence per round:
 /// BeginRound → AppendBenignBatch → PrepareInjection → poison appends →
-/// scores()/is_poison() → TrimAtReference (unless keep-all / round-mass) →
-/// Commit. Implementations must consume the engine RNG only inside these
-/// hooks, in this order — the batch adapters' bit-identity guarantee rests
-/// on the RNG call sequence matching the seed implementation exactly.
+/// scores()/is_poison() → the session's ReferencePolicy (unless keep-all;
+/// PercentileReference calls TrimAtReference) → Commit. Implementations
+/// must consume the engine RNG only inside these hooks, in this order — the
+/// batch adapters' bit-identity guarantee rests on the RNG call sequence
+/// matching the seed implementation exactly.
 class ScoreModel {
  public:
   virtual ~ScoreModel() = default;
@@ -187,10 +188,11 @@ class ScoreModel {
   }
 
   /// \brief Trims the current round's scores at reference percentile
-  /// `percentile` (< 1; the keep-all and round-mass branches live in the
-  /// engine), writing the outcome into caller-owned storage. `out`'s keep
-  /// mask is overwritten in place so a warm TrimOutcome keeps the round
-  /// loop allocation-free.
+  /// `percentile` (< 1; keep-all stays in the engine, and other trim rules
+  /// are ReferencePolicy implementations that never call this), writing
+  /// the outcome into caller-owned storage. `out`'s keep mask is
+  /// overwritten in place so a warm TrimOutcome keeps the round loop
+  /// allocation-free.
   virtual Status TrimAtReference(double percentile, const PublicBoard& board,
                                  TrimOutcome* out) = 0;
 

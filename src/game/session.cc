@@ -234,9 +234,6 @@ Result<RoundRecord> TrimmingSession::Step() {
     outcome.kept_count = scores.size();
     outcome.removed_count = 0;
     outcome.cutoff = std::numeric_limits<double>::infinity();
-  } else if (config_.round_mass_trimming) {
-    TrimTopFractionInto(scores, trim_percentile, &trim_idx_scratch_,
-                        &outcome);
   } else {
     ITRIM_RETURN_NOT_OK(
         reference_->TrimRound(trim_percentile, model_, board_, &outcome));

@@ -76,9 +76,6 @@ struct GameConfig {
   double tth = 0.9;             ///< nominal threshold percentile
   size_t bootstrap_size = 500;  ///< clean board seed (round 0)
   size_t board_capacity = 20000;  ///< reservoir cap (0 = unbounded)
-  /// When true, trimming removes the top (1 - q) fraction of the received
-  /// round itself instead of cutting at the board's q-quantile value.
-  bool round_mass_trimming = false;
   uint64_t seed = 42;
 
   Status Validate() const;
@@ -136,11 +133,11 @@ struct SessionCheckpoint {
 /// e.g. the LDP report attack); `quality` may be null (rounds score 1.0);
 /// `reference` may be null (the shared percentile reference — the paper's
 /// board-quantile trim, bit-identical to the pre-policy engine). A
-/// reference policy with internal scratch (FittedModelReference) must be
-/// owned per session, like strategies are. The configuration is validated
-/// at construction; Bootstrap() surfaces the validation Status (and the
-/// policy's model-compatibility check) instead of silently running on a
-/// bad config.
+/// reference policy with internal scratch (FittedModelReference,
+/// RoundMassReference) must be owned per session, like strategies are. The
+/// configuration is validated at construction; Bootstrap() surfaces the
+/// validation Status (and the policy's model-compatibility check) instead
+/// of silently running on a bad config.
 class TrimmingSession {
  public:
   TrimmingSession(GameConfig config, ScoreModel* model,
@@ -213,7 +210,6 @@ class TrimmingSession {
   // Round-loop scratch, reused across Step() calls so the steady state
   // never touches the heap (tests/game/zero_alloc_test.cc holds the line).
   TrimOutcome trim_scratch_;
-  std::vector<size_t> trim_idx_scratch_;
   std::vector<double> poison_pos_scratch_;  ///< NaN positions (no adversary)
 };
 

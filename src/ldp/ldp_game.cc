@@ -21,8 +21,6 @@ LdpCollectionGame::LdpCollectionGame(GameConfig config,
     : config_(config), config_status_(config.Validate()),
       population_(population), mechanism_(mechanism), attack_(attack) {
   assert(population != nullptr && mechanism != nullptr && attack != nullptr);
-  // The symmetric band trim is defined against the board reference.
-  config_.round_mass_trimming = false;
 }
 
 double LdpCollectionGame::TrueMean() const { return Mean(*population_); }

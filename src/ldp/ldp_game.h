@@ -47,8 +47,8 @@ struct LdpRunResult {
 ///
 /// The game speaks the shared GameConfig: `round_size` honest users report
 /// each round, joined by attack_ratio * round_size attackers. The band
-/// trim is defined against the board reference, so `round_mass_trimming`
-/// is ignored (as for fleet tenants of kind kLdp).
+/// trim is defined against the board reference: the session always plays
+/// the percentile reference (fleet tenants of kind kLdp refuse kRoundMass).
 class LdpCollectionGame {
  public:
   /// `population` supplies true values in [-1, 1] (sampled with

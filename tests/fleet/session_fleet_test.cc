@@ -87,7 +87,11 @@ class SessionFleetTest : public ::testing::Test {
       spec.game.bootstrap_size = 80;
       spec.game.attack_ratio = 0.1 + 0.05 * static_cast<double>(i % 4);
       spec.game.board_capacity = 2000;
-      spec.game.round_mass_trimming = (i % 2) == 0;
+      // Even tenants trim by round mass, except LDP ones: their band trim
+      // is defined against the board reference.
+      if ((i % 2) == 0 && spec.model != TenantModelKind::kLdp) {
+        spec.reference = TenantReferenceKind::kRoundMass;
+      }
       switch (spec.model) {
         case TenantModelKind::kScalar:
           spec.scalar_pool = &pool_;
@@ -473,6 +477,10 @@ TEST_F(SessionFleetTest, RejectsEachInvalidTenantSpecField) {
   EXPECT_TRUE(spec.Validate().ok());
   EXPECT_TRUE(
       MaterializeTenant(spec, /*seed=*/5).ValueOrDie().session != nullptr);
+  // The LDP band trim is defined against the board reference, so the
+  // round-mass rule is refused.
+  spec.reference = TenantReferenceKind::kRoundMass;
+  expect_rejected(spec, "ldp with round-mass reference");
 
   // Game-config fields are validated through the same path.
   spec = TenantSpec{};

@@ -1,6 +1,7 @@
 // ReferencePolicy seam: the explicit PercentileReference is the default
-// (bit for bit), the fitted-model policy validates its model, its trim
-// keeps exactly the budgeted lowest-residual rows, and its radix ordering
+// (bit for bit), the round-mass policy is TrimTopFraction on the round's
+// scores, the fitted-model policy validates its model, its trim keeps
+// exactly the budgeted lowest-residual rows, and its radix ordering
 // reproduces the comparator-sort refit loop it replaced bit for bit.
 #include "game/reference_policy.h"
 
@@ -22,6 +23,7 @@
 #include "game/session.h"
 #include "game/strategies.h"
 #include "ml/residual_score_model.h"
+#include "obs/metrics.h"
 
 #include "game/summary_test_util.h"
 
@@ -70,6 +72,57 @@ TEST(ReferencePolicyTest, DefaultPolicyIsSharedAndNamed) {
   EXPECT_EQ(shared->name(), "percentile");
   FittedModelReference fitted;
   EXPECT_EQ(fitted.name(), "fitted_model");
+  RoundMassReference round_mass;
+  EXPECT_EQ(round_mass.name(), "round_mass");
+}
+
+// The round-mass policy is the round's own TrimTopFraction: it ignores the
+// board and keeps the same mask, counts and cutoff on every threshold,
+// with its index scratch warm across calls.
+TEST(ReferencePolicyTest, RoundMassMatchesTrimTopFraction) {
+  std::vector<double> pool = UniformPool(500, 23);
+  IdentityScoreModel model(&pool);
+  Rng rng(31);
+  PublicBoard board;
+  ASSERT_TRUE(model.BeginRun().ok());
+  ASSERT_TRUE(model.Bootstrap(100, &rng, &board).ok());
+  board.Seal();
+  model.BeginRound(120);
+  model.AppendBenignBatch(120, &rng);
+
+  RoundMassReference reference;
+  TrimOutcome got;
+  for (double q : {0.0, 0.5, 0.9, 0.999}) {
+    SCOPED_TRACE(q);
+    ASSERT_TRUE(reference.TrimRound(q, &model, board, &got).ok());
+    const TrimOutcome want = TrimTopFraction(model.scores(), q);
+    EXPECT_EQ(got.keep, want.keep);
+    EXPECT_EQ(got.kept_count, want.kept_count);
+    EXPECT_EQ(got.removed_count, want.removed_count);
+    EXPECT_EQ(std::memcmp(&got.cutoff, &want.cutoff, sizeof(double)), 0);
+    EXPECT_EQ(reference.last_refit_iterations(), 0);
+  }
+}
+
+// A residual tenant on the fitted-model reference really refits inside its
+// rounds (the fleet path records the refits), and the round-mass rule is
+// a reference kind of its own, so the two can no longer be combined.
+TEST(ReferencePolicyTest, FittedTenantRecordsRefits) {
+  RegressionData source = MakeSyntheticRegression(400, 2, 0.05, 41);
+  TenantSpec spec;
+  spec.model = TenantModelKind::kResidual;
+  spec.regression = &source;
+  spec.reference = TenantReferenceKind::kFittedModel;
+  spec.game = SmallConfig(9);
+  spec.game.rounds = 6;
+  Tenant tenant = MaterializeTenant(spec, spec.game.seed).ValueOrDie();
+  obs::MetricsRegistry registry;
+  SessionObs sinks;
+  sinks.metrics = registry.AddSlot("tenant");
+  tenant.session->set_observability(sinks);
+  ASSERT_TRUE(tenant.session->RunToCompletion().ok());
+  EXPECT_GT(sinks.metrics->Get(obs::Counter::kSessionReferenceRefits), 0u);
+  EXPECT_GT(sinks.metrics->Get(obs::Counter::kSessionRefitIterations), 0u);
 }
 
 // The fitted-model policy refuses models that cannot hand it observations;

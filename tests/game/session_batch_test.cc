@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "data/generators.h"
+#include "game/reference_policy.h"
 #include "game/score_model.h"
 
 namespace itrim {
@@ -171,9 +172,10 @@ TEST(ScalarGameTest, RoundMassTrimmingRemovesExactFraction) {
   StaticCollector collector(0.9, "static");
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
-  config.round_mass_trimming = true;
   IdentityScoreModel model(&pool);
-  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  RoundMassReference round_mass;
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr,
+                       &round_mass);
   GameSummary summary = game.RunToCompletion().ValueOrDie();
   for (const auto& r : summary.rounds) {
     size_t received = r.benign_received + r.poison_received;
@@ -191,9 +193,10 @@ TEST(ScalarGameTest, DegenerateAllTrimmedGameHasDefinedFractions) {
   StaticCollector collector(0.0, "trim-everything");
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
-  config.round_mass_trimming = true;
   IdentityScoreModel model(&pool);
-  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  RoundMassReference round_mass;
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr,
+                       &round_mass);
   GameSummary summary = game.RunToCompletion().ValueOrDie();
   ASSERT_EQ(summary.TotalKept(), 0u);
   EXPECT_DOUBLE_EQ(summary.UntrimmedPoisonFraction(), 0.0);
@@ -210,10 +213,11 @@ TEST(ScalarGameTest, AllTrimmedWithoutPoisonStillDefined) {
   StaticCollector collector(0.0, "trim-everything");
   FixedPercentileAdversary adversary(0.99);
   GameConfig config = SmallConfig();
-  config.round_mass_trimming = true;
   config.attack_ratio = 0.0;
   IdentityScoreModel model(&pool);
-  TrimmingSession game(config, &model, &collector, &adversary, nullptr);
+  RoundMassReference round_mass;
+  TrimmingSession game(config, &model, &collector, &adversary, nullptr,
+                       &round_mass);
   GameSummary summary = game.RunToCompletion().ValueOrDie();
   EXPECT_EQ(summary.TotalKept(), 0u);
   EXPECT_DOUBLE_EQ(summary.UntrimmedPoisonFraction(), 0.0);

@@ -30,6 +30,7 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "exp/schemes.h"
+#include "game/reference_policy.h"
 #include "game/score_model.h"
 
 #include "game/summary_test_util.h"
@@ -45,6 +46,7 @@ struct TrialSetup {
   DataKind kind = DataKind::kScalar;
   SchemeId scheme = SchemeId::kElastic05;
   GameConfig config;
+  bool round_mass = false;  ///< RoundMassReference instead of the board's
 
   std::string Describe() const {
     return std::string(kind == DataKind::kScalar ? "scalar" : "distance") +
@@ -53,7 +55,7 @@ struct TrialSetup {
            std::to_string(config.round_size) + " attack_ratio=" +
            std::to_string(config.attack_ratio) + " capacity=" +
            std::to_string(config.board_capacity) +
-           (config.round_mass_trimming ? " round_mass" : " board_ref") +
+           (round_mass ? " round_mass" : " board_ref") +
            " seed=" + std::to_string(config.seed);
   }
 };
@@ -71,7 +73,7 @@ TrialSetup DrawTrial(Rng* rng, DataKind kind) {
   trial.config.bootstrap_size = 40 + rng->UniformInt(110);
   const size_t capacities[] = {0, 64, 4096};
   trial.config.board_capacity = capacities[rng->UniformInt(3)];
-  trial.config.round_mass_trimming = rng->Bernoulli(0.5);
+  trial.round_mass = rng->Bernoulli(0.5);
   trial.config.seed = rng->NextU64();
   return trial;
 }
@@ -88,17 +90,21 @@ class PropertyHarness {
   void WithSession(const TrialSetup& trial, Body body,
                    bool retain_survivors = true) {
     SchemeInstance scheme = MakeScheme(trial.scheme, trial.config.tth);
+    RoundMassReference round_mass;
+    ReferencePolicy* reference = trial.round_mass ? &round_mass : nullptr;
     if (trial.kind == DataKind::kScalar) {
       IdentityScoreModel model(&pool_);
       model.set_retain_survivors(retain_survivors);
       TrimmingSession session(trial.config, &model, scheme.collector.get(),
-                              scheme.adversary.get(), scheme.quality.get());
+                              scheme.adversary.get(), scheme.quality.get(),
+                              reference);
       body(&session);
     } else {
       DistanceScoreModel model(&data_);
       model.set_retain_survivors(retain_survivors);
       TrimmingSession session(trial.config, &model, scheme.collector.get(),
-                              scheme.adversary.get(), scheme.quality.get());
+                              scheme.adversary.get(), scheme.quality.get(),
+                              reference);
       body(&session);
     }
   }

@@ -24,6 +24,7 @@
 #include "data/generators.h"
 #include "exp/schemes.h"
 #include "fleet/tenant.h"
+#include "game/reference_policy.h"
 #include "game/score_model.h"
 #include "game/trimmer.h"
 #include "ldp/attacks.h"
@@ -128,6 +129,7 @@ RoundContext LegacyContext(int round, const GameConfig& config,
 
 // Line-by-line replica of the seed scalar game's Run() loop.
 Result<GameSummary> LegacyScalarRun(const GameConfig& config,
+                                    bool round_mass,
                                     const std::vector<double>& benign_pool,
                                     CollectorStrategy* collector,
                                     AdversaryStrategy* adversary,
@@ -195,7 +197,7 @@ Result<GameSummary> LegacyScalarRun(const GameConfig& config,
       outcome.keep.assign(received.size(), 1);
       outcome.kept_count = received.size();
       outcome.cutoff = std::numeric_limits<double>::infinity();
-    } else if (config.round_mass_trimming) {
+    } else if (round_mass) {
       outcome = TrimTopFraction(received, trim_percentile);
     } else {
       ITRIM_ASSIGN_OR_RETURN(
@@ -246,6 +248,7 @@ Result<GameSummary> LegacyScalarRun(const GameConfig& config,
 
 // Line-by-line replica of the seed distance game's Run() loop.
 Result<GameSummary> LegacyDistanceRun(const GameConfig& config,
+                                      bool round_mass,
                                       const Dataset& source,
                                       CollectorStrategy* collector,
                                       AdversaryStrategy* adversary,
@@ -345,7 +348,7 @@ Result<GameSummary> LegacyDistanceRun(const GameConfig& config,
       outcome.keep.assign(received.size(), 1);
       outcome.kept_count = received.size();
       outcome.cutoff = std::numeric_limits<double>::infinity();
-    } else if (config.round_mass_trimming) {
+    } else if (round_mass) {
       outcome = TrimTopFraction(scores, trim_percentile);
     } else {
       outcome = TrimAboveValue(scores, trim_percentile);
@@ -548,7 +551,7 @@ Result<LdpRunResult> LegacyLdpRunTrimming(const GameConfig& config,
 
 // The tenant-side spec of one scheme-driven session, keeping survivors so
 // they can be compared against the replica's.
-TenantSpec SchemeSpec(ModelKind kind, SchemeId id,
+TenantSpec SchemeSpec(TenantModelKind kind, SchemeId id,
                       const SchemeOptions& options, const GameConfig& game) {
   TenantSpec spec;
   spec.model = kind;
@@ -578,7 +581,6 @@ TEST_P(SchemeBitIdentityTest, ScalarGameMatchesSeedLoop) {
     config.attack_ratio = 0.17;  // fractional quota path
     config.tth = 0.9;
     config.bootstrap_size = 400;
-    config.round_mass_trimming = round_mass;
     config.seed = 1000 + static_cast<uint64_t>(id);
 
     SchemeOptions options;
@@ -588,13 +590,15 @@ TEST_P(SchemeBitIdentityTest, ScalarGameMatchesSeedLoop) {
     std::vector<double> legacy_retained;
     std::vector<char> legacy_flags;
     auto legacy = LegacyScalarRun(
-        ReplicaConfig(id, config), pool, legacy_scheme.collector.get(),
-        legacy_scheme.adversary.get(), legacy_scheme.quality.get(),
-        &legacy_retained, &legacy_flags);
+        ReplicaConfig(id, config), round_mass, pool,
+        legacy_scheme.collector.get(), legacy_scheme.adversary.get(),
+        legacy_scheme.quality.get(), &legacy_retained, &legacy_flags);
     ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-    TenantSpec spec = SchemeSpec(ModelKind::kScalar, id, options, config);
+    TenantSpec spec =
+        SchemeSpec(TenantModelKind::kScalar, id, options, config);
     spec.scalar_pool = &pool;
+    if (round_mass) spec.reference = TenantReferenceKind::kRoundMass;
     Tenant tenant = MaterializeTenant(spec, config.seed).ValueOrDie();
     auto summary = tenant.session->RunToCompletion();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -619,7 +623,6 @@ TEST_P(SchemeBitIdentityTest, DistanceGameMatchesSeedLoop) {
     config.attack_ratio = 0.3;
     config.tth = 0.9;
     config.bootstrap_size = 250;
-    config.round_mass_trimming = round_mass;
     config.seed = 2000 + static_cast<uint64_t>(id);
 
     SchemeOptions options;
@@ -629,13 +632,15 @@ TEST_P(SchemeBitIdentityTest, DistanceGameMatchesSeedLoop) {
     Dataset legacy_retained;
     std::vector<char> legacy_flags;
     auto legacy = LegacyDistanceRun(
-        ReplicaConfig(id, config), data, legacy_scheme.collector.get(),
-        legacy_scheme.adversary.get(), legacy_scheme.quality.get(),
-        &legacy_retained, &legacy_flags);
+        ReplicaConfig(id, config), round_mass, data,
+        legacy_scheme.collector.get(), legacy_scheme.adversary.get(),
+        legacy_scheme.quality.get(), &legacy_retained, &legacy_flags);
     ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
-    TenantSpec spec = SchemeSpec(ModelKind::kDistance, id, options, config);
+    TenantSpec spec =
+        SchemeSpec(TenantModelKind::kDistance, id, options, config);
     spec.dataset = &data;
+    if (round_mass) spec.reference = TenantReferenceKind::kRoundMass;
     Tenant tenant = MaterializeTenant(spec, config.seed).ValueOrDie();
     auto summary = tenant.session->RunToCompletion();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -844,13 +849,13 @@ TEST(TrimmingSessionTest, ParallelForOneVsManyThreadsBitIdentical) {
           config.rounds = 6;
           config.round_size = 80;
           config.attack_ratio = 0.2;
-          config.round_mass_trimming = true;
           config.seed = 400 + arm * 7919;
           ElasticCollector collector(0.5);
           ElasticAdversary adversary(0.5);
           DistanceScoreModel model(&data);
+          RoundMassReference round_mass;
           TrimmingSession session(config, &model, &collector, &adversary,
-                                  nullptr);
+                                  nullptr, &round_mass);
           out[arm] = session.RunToCompletion().ValueOrDie();
         },
         threads);

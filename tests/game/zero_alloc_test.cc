@@ -47,14 +47,13 @@ uint64_t AllocationsOver(TrimmingSession* session, int rounds) {
   return (bench::ThreadAllocCounts() - before).allocations;
 }
 
-GameConfig StreamingConfig(bool round_mass_trimming) {
+GameConfig StreamingConfig() {
   GameConfig config;
   config.rounds = 200;  // generous horizon: records_ reserve covers the test
   config.round_size = 60;
   config.attack_ratio = 0.15;
   config.bootstrap_size = 80;
   config.board_capacity = 64;  // small cap: exercises reservoir replacement
-  config.round_mass_trimming = round_mass_trimming;
   config.seed = 97;
   return config;
 }
@@ -82,8 +81,10 @@ TEST(ZeroAllocTest, ScalarSessionSteadyStateStepIsAllocationFree) {
     ElasticCollector collector(0.5);
     ElasticAdversary adversary(0.5);
     TailMassQuality quality(0.9);
-    TrimmingSession session(StreamingConfig(round_mass), &model, &collector,
-                            &adversary, &quality);
+    RoundMassReference reference;
+    TrimmingSession session(StreamingConfig(), &model, &collector,
+                            &adversary, &quality,
+                            round_mass ? &reference : nullptr);
     ASSERT_TRUE(session.Bootstrap().ok());
     AllocationsOver(&session, kWarmupRounds);
     EXPECT_EQ(AllocationsOver(&session, kMeasuredRounds), 0u);
@@ -98,8 +99,10 @@ TEST(ZeroAllocTest, DistanceSessionSteadyStateStepIsAllocationFree) {
     model.set_retain_survivors(false);
     ElasticCollector collector(0.1);
     ElasticAdversary adversary(0.1);
-    TrimmingSession session(StreamingConfig(round_mass), &model, &collector,
-                            &adversary, nullptr);
+    RoundMassReference reference;
+    TrimmingSession session(StreamingConfig(), &model, &collector,
+                            &adversary, nullptr,
+                            round_mass ? &reference : nullptr);
     ASSERT_TRUE(session.Bootstrap().ok());
     AllocationsOver(&session, kWarmupRounds);
     EXPECT_EQ(AllocationsOver(&session, kMeasuredRounds), 0u);
@@ -112,7 +115,7 @@ TEST(ZeroAllocTest, LdpSessionSteadyStateStepIsAllocationFree) {
   for (int i = 0; i < 1500; ++i) population.push_back(rng.Uniform(-1.0, 1.0));
   PiecewiseMechanism mechanism(2.0);
   InputManipulationAttack attack(1.0);
-  GameConfig config = StreamingConfig(false);
+  GameConfig config = StreamingConfig();
   LdpReportScoreModel model(&population, &mechanism, &attack, config.tth);
   model.set_retain_survivors(false);
   ElasticCollector collector(0.5);
@@ -136,7 +139,7 @@ TEST(ZeroAllocTest, ResidualSessionSteadyStateStepIsAllocationFree) {
     ElasticCollector collector(0.5);
     ElasticAdversary adversary(0.5);
     FittedModelReference reference;
-    TrimmingSession session(StreamingConfig(false), &model, &collector,
+    TrimmingSession session(StreamingConfig(), &model, &collector,
                             &adversary, nullptr,
                             fitted ? &reference : nullptr);
     ASSERT_TRUE(session.Bootstrap().ok());
@@ -161,7 +164,7 @@ TEST(ZeroAllocTest, InstrumentedSessionSteadyStateStepIsAllocationFree) {
   ElasticCollector collector(0.5);
   ElasticAdversary adversary(0.5);
   TailMassQuality quality(0.9);
-  TrimmingSession session(StreamingConfig(false), &model, &collector,
+  TrimmingSession session(StreamingConfig(), &model, &collector,
                           &adversary, &quality);
   SessionObs sinks;
   sinks.metrics = slot;
@@ -188,7 +191,8 @@ TEST(ZeroAllocTest, InstrumentedSerialFleetStepRoundIsAllocationFree) {
     TenantSpec spec;
     spec.model = TenantModelKind::kScalar;
     spec.scalar_pool = &pool;
-    spec.game = StreamingConfig((i % 2) == 0);
+    spec.game = StreamingConfig();
+    if ((i % 2) == 0) spec.reference = TenantReferenceKind::kRoundMass;
     specs.push_back(spec);
   }
   FleetConfig config;
@@ -233,7 +237,7 @@ TEST(ZeroAllocTest, RetainingSessionDoesAllocate) {
   ASSERT_TRUE(model.retain_survivors());  // batch-game default
   ElasticCollector collector(0.5);
   ElasticAdversary adversary(0.5);
-  TrimmingSession session(StreamingConfig(false), &model, &collector,
+  TrimmingSession session(StreamingConfig(), &model, &collector,
                           &adversary, nullptr);
   ASSERT_TRUE(session.Bootstrap().ok());
   AllocationsOver(&session, kWarmupRounds);
@@ -260,7 +264,12 @@ TEST(ZeroAllocTest, SerialFleetSteadyStateStepRoundIsAllocationFree) {
     TenantSpec spec;
     spec.model = static_cast<TenantModelKind>(i % 4);
     spec.scheme = schemes[i % schemes.size()];
-    spec.game = StreamingConfig((i % 2) == 0);
+    spec.game = StreamingConfig();
+    // Even tenants trim by round mass, except LDP ones: their band trim is
+    // defined against the board reference.
+    if ((i % 2) == 0 && spec.model != TenantModelKind::kLdp) {
+      spec.reference = TenantReferenceKind::kRoundMass;
+    }
     ASSERT_FALSE(spec.retain_survivors);  // the fleet default is streaming
     switch (spec.model) {
       case TenantModelKind::kScalar:

@@ -29,13 +29,13 @@ TEST(EndToEndKmeans, AdaptiveTrimmingBeatsOstrichUnderHeavyAttack) {
     double dist_acc = 0.0;
     for (uint64_t rep = 0; rep < 3; ++rep) {
       TenantSpec spec;
-      spec.model = ModelKind::kDistance;
+      spec.model = TenantModelKind::kDistance;
       spec.scheme = id;
+      spec.reference = TenantReferenceKind::kRoundMass;  // the Fig 4 pipeline
       spec.game.rounds = 10;
       spec.game.round_size = 150;
       spec.game.attack_ratio = 0.4;
       spec.game.tth = 0.9;
-      spec.game.round_mass_trimming = true;  // the Fig 4 pipeline semantics
       spec.game.seed = 1000 + rep;
       spec.retain_survivors = true;
       spec.dataset = &data;
@@ -68,7 +68,7 @@ TEST(EndToEndGame, StaticThresholdFullyEvadedAdaptivePartiallyEvaded) {
   Dataset data = MakeControl(22);
   auto play = [&](SchemeId id) {
     TenantSpec spec;
-    spec.model = ModelKind::kDistance;
+    spec.model = TenantModelKind::kDistance;
     spec.scheme = id;
     spec.game.rounds = 10;
     spec.game.round_size = 200;

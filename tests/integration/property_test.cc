@@ -37,7 +37,7 @@ TEST_P(SchemeInvariantTest, AccountingAndDomainInvariants) {
   const GameCase& param = GetParam();
   Dataset data = MakeControl(param.seed);
   TenantSpec spec;
-  spec.model = ModelKind::kDistance;
+  spec.model = TenantModelKind::kDistance;
   spec.scheme = param.scheme;
   spec.game.rounds = 8;
   spec.game.round_size = 150;
