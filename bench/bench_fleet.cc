@@ -197,9 +197,10 @@ int RunDeterminism(FleetFixture* fixture, size_t tenants, int rounds,
   for (int r = 0; r < cut; ++r) {
     if (!first.StepRound().ok()) return 1;
   }
-  FleetCheckpoint checkpoint = first.Checkpoint();
+  Result<FleetCheckpoint> checkpoint = first.Checkpoint();
+  if (!checkpoint.ok()) return 1;
   SessionFleet resumed(MakeConfig(rounds, 2), fixture->BuildSpecs(tenants));
-  if (!resumed.Restore(checkpoint).ok()) {
+  if (!resumed.Restore(*checkpoint).ok()) {
     std::fprintf(stderr, "FAIL: fleet restore failed\n");
     return 1;
   }

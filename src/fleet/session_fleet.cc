@@ -124,6 +124,13 @@ Status SessionFleet::BeginPerTenantStepping() {
   return Status::OK();
 }
 
+Status SessionFleet::RequireLockstep() const {
+  if (!per_tenant_mode_) return Status::OK();
+  return Status::FailedPrecondition(
+      "fleet is in per-tenant stepping mode; lockstep rounds and fleet "
+      "checkpoints are unavailable (re-Bootstrap() to return to lockstep)");
+}
+
 Status SessionFleet::CheckTenantIndex(size_t i) const {
   if (i < tenants_.size()) return Status::OK();
   return Status::OutOfRange("tenant index " + std::to_string(i) +
@@ -198,11 +205,7 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
   if (!bootstrapped_) {
     return Status::FailedPrecondition("fleet is not bootstrapped");
   }
-  if (per_tenant_mode_) {
-    return Status::FailedPrecondition(
-        "fleet is in per-tenant stepping mode; lockstep rounds are "
-        "unavailable (re-Bootstrap() to return to lockstep)");
-  }
+  ITRIM_RETURN_NOT_OK(RequireLockstep());
   const int64_t obs_t0 =
       obs_slot_ != nullptr ? obs::MonotonicNowNs() : 0;
   const size_t n = tenants_.size();
@@ -316,10 +319,11 @@ FleetSummary SessionFleet::Finish() const {
   return summary;
 }
 
-FleetCheckpoint SessionFleet::Checkpoint() const {
-  assert(bootstrapped_ && "Checkpoint() before Bootstrap()");
-  assert(!per_tenant_mode_ &&
-         "fleet checkpoints are lockstep-only (sessions at one round)");
+Result<FleetCheckpoint> SessionFleet::Checkpoint() const {
+  if (!bootstrapped_) {
+    return Status::FailedPrecondition("fleet is not bootstrapped");
+  }
+  ITRIM_RETURN_NOT_OK(RequireLockstep());
   FleetCheckpoint checkpoint;
   checkpoint.next_round = next_round_;
   checkpoint.sessions.reserve(tenants_.size());
@@ -335,6 +339,7 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
   // mutable state — a truncated or corrupt checkpoint is rejected while
   // the fleet's current stream (if any) remains live and steppable. Only
   // a checkpoint that passes every check reaches the mutation phase.
+  ITRIM_RETURN_NOT_OK(RequireLockstep());
   ITRIM_RETURN_NOT_OK(config_.Validate());
   if (specs_.empty()) {
     return Status::InvalidArgument("fleet needs at least one tenant");

@@ -132,8 +132,9 @@ class SessionFleet {
   FleetSummary Finish() const;
 
   /// \brief Captures the lockstep round counter and every session's
-  /// checkpoint. Requires a successful Bootstrap() and lockstep mode.
-  FleetCheckpoint Checkpoint() const;
+  /// checkpoint. FailedPrecondition before a successful Bootstrap() and in
+  /// per-tenant mode.
+  Result<FleetCheckpoint> Checkpoint() const;
 
   /// \brief Resumes from a checkpoint of an identically configured fleet;
   /// subsequent StepRounds are bit-identical to the original stream.
@@ -142,7 +143,7 @@ class SessionFleet {
   /// alignment, per-session record shape) is validated *before* any
   /// session is touched, so a truncated or corrupt checkpoint is rejected
   /// with the fleet's current state — including a live, steppable stream —
-  /// fully intact.
+  /// fully intact. FailedPrecondition in per-tenant mode.
   Status Restore(const FleetCheckpoint& checkpoint);
 
   // -- Arrival-driven (per-tenant) stepping --------------------------------
@@ -224,6 +225,9 @@ class SessionFleet {
                                   const std::vector<RoundRecord>& records);
   /// Rebuilds round_aggregates_ from the sessions' replayed records.
   void RebuildAggregates();
+  /// FailedPrecondition in per-tenant mode (the lockstep surface:
+  /// StepRound, Checkpoint, Restore).
+  Status RequireLockstep() const;
   /// OutOfRange unless `i` names a materialized tenant.
   Status CheckTenantIndex(size_t i) const;
 

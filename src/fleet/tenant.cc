@@ -109,14 +109,7 @@ Status TenantSpec::Validate() const {
       return Status::InvalidArgument(
           "fitted-model reference requires the residual model kind");
     }
-    if (fitted_reference.max_refits < 1) {
-      return Status::InvalidArgument(
-          "fitted-model reference needs max_refits >= 1");
-    }
-    if (!(fitted_reference.tol >= 0.0)) {
-      return Status::InvalidArgument(
-          "fitted-model reference needs tol >= 0");
-    }
+    ITRIM_RETURN_NOT_OK(fitted_reference.Validate());
   }
   return Status::OK();
 }

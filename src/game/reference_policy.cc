@@ -94,6 +94,17 @@ void FittedModelReference::OrderByResidual() {
   }
 }
 
+Status FittedModelReference::Options::Validate() const {
+  if (max_refits < 1) {
+    return Status::InvalidArgument(
+        "FittedModelReference: max_refits must be >= 1");
+  }
+  if (!(tol >= 0.0)) {
+    return Status::InvalidArgument("FittedModelReference: tol must be >= 0");
+  }
+  return Status::OK();
+}
+
 Status FittedModelReference::Validate(const ScoreModel& model) const {
   if (!model.ProvidesObservations()) {
     return Status::InvalidArgument(
@@ -106,14 +117,7 @@ Status FittedModelReference::Validate(const ScoreModel& model) const {
         "FittedModelReference needs observations of at least one feature "
         "plus the response (ObsWidth() >= 2)");
   }
-  if (options_.max_refits < 1) {
-    return Status::InvalidArgument(
-        "FittedModelReference: max_refits must be >= 1");
-  }
-  if (!(options_.tol >= 0.0)) {
-    return Status::InvalidArgument("FittedModelReference: tol must be >= 0");
-  }
-  return Status::OK();
+  return options_.Validate();
 }
 
 Status FittedModelReference::TrimRound(double percentile, ScoreModel* model,

@@ -113,6 +113,11 @@ class FittedModelReference : public ReferencePolicy {
   struct Options {
     int max_refits = 20;  ///< refit loop budget (1 = one-shot Trim)
     double tol = 1e-4;    ///< early stop on mean |delta squared residual|
+
+    /// InvalidArgument unless max_refits >= 1 and tol >= 0 (NaN refused).
+    /// The one check of these options: the policy's Validate and
+    /// TenantSpec::Validate both call it.
+    Status Validate() const;
   };
 
   FittedModelReference() = default;

@@ -18,13 +18,11 @@ size_t ScoreModel::PoisonCount(const GameConfig& config, double* quota) const {
   return count;
 }
 
-Status ScoreModel::AppendPoisonBatch(std::span<const double> positions,
-                                     Rng* rng, const PublicBoard& board) {
-  // Default: the per-observation hook in a loop — identical RNG order, so
-  // overriding this is only ever a dispatch-count optimization.
-  for (double position : positions) {
-    ITRIM_RETURN_NOT_OK(AppendPoison(position, rng, board));
-  }
+Status ScoreModel::TrimAtReference(double percentile,
+                                   const PublicBoard& board,
+                                   TrimOutcome* out) {
+  ITRIM_ASSIGN_OR_RETURN(double cutoff, board.Quantile(percentile));
+  TrimAboveValueInto(scores(), cutoff, out);
   return Status::OK();
 }
 
@@ -99,12 +97,6 @@ void IdentityScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
   }
 }
 
-Status IdentityScoreModel::AppendBenignBatch(std::span<const double> obs) {
-  values_.insert(values_.end(), obs.begin(), obs.end());
-  is_poison_.insert(is_poison_.end(), obs.size(), 0);
-  return Status::OK();
-}
-
 Status IdentityScoreModel::AppendPoison(double position, Rng* /*rng*/,
                                         const PublicBoard& board) {
   // Poison "at percentile a" is the board's a-quantile value: the attack
@@ -124,14 +116,6 @@ Status IdentityScoreModel::ScoreInto(std::span<const double> obs,
                                      std::span<double> out) const {
   ITRIM_RETURN_NOT_OK(CheckScoreSpans(obs, out));
   std::copy(obs.begin(), obs.end(), out.begin());
-  return Status::OK();
-}
-
-Status IdentityScoreModel::TrimAtReference(double percentile,
-                                           const PublicBoard& board,
-                                           TrimOutcome* out) {
-  ITRIM_ASSIGN_OR_RETURN(double cutoff, board.Quantile(percentile));
-  TrimAboveValueInto(values_, cutoff, out);
   return Status::OK();
 }
 
@@ -226,34 +210,6 @@ void DistanceScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
     scores_.push_back(score);
     is_poison_.push_back(0);
   }
-}
-
-Status DistanceScoreModel::AppendBenignBatch(std::span<const double> obs) {
-  if (dims_ == 0) {
-    return Status::FailedPrecondition("model is not bootstrapped");
-  }
-  if (labeled_) {
-    return Status::FailedPrecondition(
-        "labeled sources cannot ingest external rows (no labels attached)");
-  }
-  if (obs.size() % dims_ != 0) {
-    return Status::InvalidArgument("obs span is not a whole number of rows");
-  }
-  const size_t n = obs.size() / dims_;
-  if (retain_survivors_) {
-    for (size_t i = 0; i < n; ++i) {
-      std::span<double> slot = NextRowSlot();
-      std::copy(obs.begin() + static_cast<ptrdiff_t>(i * dims_),
-                obs.begin() + static_cast<ptrdiff_t>((i + 1) * dims_),
-                slot.begin());
-    }
-  }
-  const size_t old = scores_.size();
-  scores_.resize(old + n);
-  position_map_.PositionsOfRows(obs, n,
-                                std::span<double>(scores_).subspan(old));
-  is_poison_.insert(is_poison_.end(), n, 0);
-  return Status::OK();
 }
 
 void DistanceScoreModel::PrepareInjection(Rng* rng) {

@@ -18,11 +18,15 @@
 // A ScoreModel plugs into TrimmingSession (game/session.h), which owns the
 // round loop. Models also own the retained (sanitized) output of a run.
 //
-// v2 API shape: the engine makes one virtual call per round, not one per
-// observation. Payloads live in flat structure-of-arrays storage (a round
-// is `n * ObsWidth()` contiguous doubles), accessors hand out spans over
-// that storage, and scoring is a batched `ScoreInto` backed by the
-// dispatched kernels (game/kernels.h).
+// Round surface: the engine adds a round's benign arrivals in one virtual
+// call (`AppendBenignBatch`) and its poison one payload at a time
+// (`AppendPoison`, positioned by the adversary when there is one); the
+// round's scores and poison flags come back as spans over model-owned
+// storage. Benign rows are scored on their first draw and cached per
+// source row; batched `ScoreInto`, backed by the dispatched kernels
+// (game/kernels.h), scores a block of flat observations with no
+// per-observation virtual call (paperbench's score probe,
+// bench_micro_score and the differential tests use it).
 //
 // Batch-vs-scalar bitwise contract: `ScoreIntoScalar` is the one public
 // scalar reference path — it always loops the model's per-observation
@@ -58,12 +62,12 @@ namespace itrim {
 /// \brief Data-setting plugin of the TrimmingSession round loop.
 ///
 /// The engine drives one model through a fixed sequence per round:
-/// BeginRound → AppendBenignBatch → PrepareInjection → poison appends →
-/// scores()/is_poison() → the session's ReferencePolicy (unless keep-all;
-/// PercentileReference calls TrimAtReference) → Commit. Implementations
-/// must consume the engine RNG only inside these hooks, in this order — the
-/// batch adapters' bit-identity guarantee rests on the RNG call sequence
-/// matching the seed implementation exactly.
+/// BeginRound → AppendBenignBatch → PrepareInjection → AppendPoison per
+/// poison payload → scores()/is_poison() → the session's ReferencePolicy
+/// (unless keep-all; PercentileReference calls TrimAtReference) → Commit.
+/// Implementations must consume the engine RNG only inside these hooks, in
+/// this order — the batch adapters' bit-identity guarantee rests on the RNG
+/// call sequence matching the seed implementation exactly.
 class ScoreModel {
  public:
   virtual ~ScoreModel() = default;
@@ -97,13 +101,6 @@ class ScoreModel {
   /// one virtual call for the whole arrival batch.
   virtual void AppendBenignBatch(size_t count, Rng* rng) = 0;
 
-  /// \brief Appends externally supplied benign payloads: `obs` holds
-  /// `obs.size() / ObsWidth()` flat observations, scored through the
-  /// batched kernel path. This is the ingest surface a serving deployment
-  /// (or the planned federated workload) feeds real client data through;
-  /// the draw-from-source overload above is the simulation shape.
-  virtual Status AppendBenignBatch(std::span<const double> obs) = 0;
-
   /// \brief Round-level injection setup (e.g. the colluding adversaries'
   /// shared direction). Called once per round, after the benign arrivals,
   /// regardless of the poison count.
@@ -124,20 +121,13 @@ class ScoreModel {
   /// (NaN when the session runs without an AdversaryStrategy — only
   /// reachable for models with RequiresAdversaryPositions() == false).
   ///
-  /// Stays per-observation by design: adversary strategies may draw RNG
-  /// inside InjectionPercentile(), so position draws and the model's own
-  /// poison draws interleave on one stream; batching them would reorder
-  /// the draws and break bit-identity with the seed games.
+  /// The engine calls it once per poison payload, with or without an
+  /// adversary: adversary strategies may draw RNG inside
+  /// InjectionPercentile(), so position draws and the model's own poison
+  /// draws interleave on one stream, and that order is part of the
+  /// bit-identity contract with the seed games.
   virtual Status AppendPoison(double position, Rng* rng,
                               const PublicBoard& board) = 0;
-
-  /// \brief Appends one poison payload per entry of `positions` in one
-  /// virtual call. The engine uses this only when no AdversaryStrategy is
-  /// interleaving RNG draws (positions are then all NaN); the default
-  /// loops AppendPoison, so overriding is an optimization, never a
-  /// semantic change.
-  virtual Status AppendPoisonBatch(std::span<const double> positions,
-                                   Rng* rng, const PublicBoard& board);
 
   /// \brief Scores of the current round (benign then poison, arrival
   /// order), in the shared percentile-comparable coordinate. A view into
@@ -192,9 +182,11 @@ class ScoreModel {
   /// are ReferencePolicy implementations that never call this), writing
   /// the outcome into caller-owned storage. `out`'s keep mask is
   /// overwritten in place so a warm TrimOutcome keeps the round loop
-  /// allocation-free.
+  /// allocation-free. The default cuts scores() above the board's
+  /// `percentile`-quantile; models whose scores are percentiles already, or
+  /// that trim a band, override.
   virtual Status TrimAtReference(double percentile, const PublicBoard& board,
-                                 TrimOutcome* out) = 0;
+                                 TrimOutcome* out);
 
   /// \brief Moves the round's survivors (per keep mask) into the retained
   /// store (no-op while retain_survivors() is off).
@@ -238,15 +230,12 @@ class IdentityScoreModel : public ScoreModel {
                    PublicBoard* board) override;
   void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
-  Status AppendBenignBatch(std::span<const double> obs) override;
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
   std::span<const double> scores() const override { return values_; }
   std::span<const char> is_poison() const override { return is_poison_; }
   Status ScoreInto(std::span<const double> obs,
                    std::span<double> out) const override;
-  Status TrimAtReference(double percentile, const PublicBoard& board,
-                         TrimOutcome* out) override;
   void Commit(std::span<const char> keep) override;
 
   /// \brief Retained values accumulated since BeginRun().
@@ -271,10 +260,9 @@ class IdentityScoreModel : public ScoreModel {
 /// \brief Multi-dimensional setting: rows scored by PositionMap percentile
 /// positions; poison fabricated along a shared per-round direction.
 ///
-/// Round rows live in one flat structure-of-arrays pool (`row_data_`,
-/// row-major, ObsWidth() doubles per row) so the batched distance kernel
-/// streams them without pointer chasing and a warm round reuses the pool
-/// without touching the heap.
+/// Round rows live in one flat pool (`row_data_`, row-major, ObsWidth()
+/// doubles per row), so a warm round reuses the pool without touching the
+/// heap.
 class DistanceScoreModel : public ScoreModel {
  public:
   /// `source` is borrowed; provides benign rows (labels kept when present).
@@ -287,7 +275,6 @@ class DistanceScoreModel : public ScoreModel {
                    PublicBoard* board) override;
   void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
-  Status AppendBenignBatch(std::span<const double> obs) override;
   void PrepareInjection(Rng* rng) override;
   /// Positions above 1 extrapolate beyond the observed domain (the
   /// adversary may fabricate values outside it).

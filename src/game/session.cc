@@ -192,26 +192,20 @@ Result<RoundRecord> TrimmingSession::Step() {
   model_->BeginRound(config_.round_size + poison_count);
   model_->AppendBenignBatch(config_.round_size, &rng_);
   model_->PrepareInjection(&rng_);
+  // One poison payload per call: the adversary may draw RNG inside
+  // InjectionPercentile(), and those draws interleave with the model's own
+  // poison draws on one stream (bit-identity contract). Without an
+  // adversary the position is NaN (only models that materialize poison
+  // autonomously run without one).
   double injection_sum = 0.0;
-  if (adversary_ == nullptr) {
-    // No adversary interleaves RNG draws with the model's poison draws, so
-    // the whole head goes over in one virtual call (positions are NaN —
-    // only models that materialize poison autonomously reach this path).
-    if (poison_count > 0) {
-      poison_pos_scratch_.assign(poison_count, std::nan(""));
-      ITRIM_RETURN_NOT_OK(
-          model_->AppendPoisonBatch(poison_pos_scratch_, &rng_, board_));
-    }
-  } else {
-    // Position-guided poison stays per-observation: the adversary may draw
-    // RNG inside InjectionPercentile(), and those draws interleave with
-    // the model's own poison draws on one stream (bit-identity contract).
-    for (size_t i = 0; i < poison_count; ++i) {
-      double a = adversary_->InjectionPercentile(ctx, &rng_);
-      a = Clamp(a, 0.0, model_->InjectionCap());
+  for (size_t i = 0; i < poison_count; ++i) {
+    double a = std::nan("");
+    if (adversary_ != nullptr) {
+      a = Clamp(adversary_->InjectionPercentile(ctx, &rng_), 0.0,
+                model_->InjectionCap());
       injection_sum += a;
-      ITRIM_RETURN_NOT_OK(model_->AppendPoison(a, &rng_, board_));
     }
+    ITRIM_RETURN_NOT_OK(model_->AppendPoison(a, &rng_, board_));
   }
   double injection_mean =
       (adversary_ != nullptr && poison_count > 0)

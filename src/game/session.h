@@ -210,7 +210,6 @@ class TrimmingSession {
   // Round-loop scratch, reused across Step() calls so the steady state
   // never touches the heap (tests/game/zero_alloc_test.cc holds the line).
   TrimOutcome trim_scratch_;
-  std::vector<double> poison_pos_scratch_;  ///< NaN positions (no adversary)
 };
 
 }  // namespace itrim

@@ -51,29 +51,10 @@ void LdpReportScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
   }
 }
 
-Status LdpReportScoreModel::AppendBenignBatch(std::span<const double> obs) {
-  // External ingest: already-perturbed reports, appended verbatim.
-  reports_.insert(reports_.end(), obs.begin(), obs.end());
-  is_poison_.insert(is_poison_.end(), obs.size(), 0);
-  return Status::OK();
-}
-
 Status LdpReportScoreModel::AppendPoison(double /*position*/, Rng* rng,
                                          const PublicBoard& /*board*/) {
   reports_.push_back(attack_->PoisonReport(*mechanism_, rng));
   is_poison_.push_back(1);
-  return Status::OK();
-}
-
-Status LdpReportScoreModel::AppendPoisonBatch(
-    std::span<const double> positions, Rng* rng,
-    const PublicBoard& /*board*/) {
-  // Positions are ignored (the attack materializes poison autonomously);
-  // the per-report RNG order matches the AppendPoison loop exactly.
-  for (size_t i = 0; i < positions.size(); ++i) {
-    reports_.push_back(attack_->PoisonReport(*mechanism_, rng));
-    is_poison_.push_back(1);
-  }
   return Status::OK();
 }
 

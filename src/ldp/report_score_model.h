@@ -55,14 +55,10 @@ class LdpReportScoreModel : public ScoreModel {
   size_t PoisonCount(const GameConfig& config, double* quota) const override;
   void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
-  Status AppendBenignBatch(std::span<const double> obs) override;
+  /// Ignores `position` (NaN: the session runs without an adversary) and
+  /// appends the attack's next poison report.
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  /// One virtual call for the whole poison head: the attack needs no
-  /// percentile guidance, so the engine hands the batch over wholesale
-  /// (identical RNG order to the per-report hook).
-  Status AppendPoisonBatch(std::span<const double> positions, Rng* rng,
-                           const PublicBoard& board) override;
   std::span<const double> scores() const override { return reports_; }
   std::span<const char> is_poison() const override { return is_poison_; }
   Status ScoreInto(std::span<const double> obs,

@@ -134,28 +134,6 @@ void ResidualScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
   }
 }
 
-Status ResidualScoreModel::AppendBenignBatch(std::span<const double> obs) {
-  if (width_ == 0) {
-    return Status::FailedPrecondition("model is not bootstrapped");
-  }
-  if (obs.size() % width_ != 0) {
-    return Status::InvalidArgument("obs span is not a whole number of rows");
-  }
-  const size_t n = obs.size() / width_;
-  for (size_t i = 0; i < n; ++i) {
-    std::span<double> slot = NextRowSlot();
-    std::copy(obs.begin() + static_cast<ptrdiff_t>(i * width_),
-              obs.begin() + static_cast<ptrdiff_t>((i + 1) * width_),
-              slot.begin());
-  }
-  const size_t old = scores_.size();
-  scores_.resize(old + n);
-  ITRIM_RETURN_NOT_OK(
-      ScoreInto(obs, std::span<double>(scores_).subspan(old)));
-  is_poison_.insert(is_poison_.end(), n, 0);
-  return Status::OK();
-}
-
 Status ResidualScoreModel::AppendPoison(double position, Rng* rng,
                                         const PublicBoard& board) {
   // Poison "at percentile a" carries the board's a-quantile residual
@@ -206,14 +184,6 @@ Status ResidualScoreModel::ScoreInto(std::span<const double> obs,
   kernels::AbsResidualsToModel(obs.data(), out.size(), ObsWidth(),
                                reference_.weights.data(), reference_.bias,
                                out.data());
-  return Status::OK();
-}
-
-Status ResidualScoreModel::TrimAtReference(double percentile,
-                                           const PublicBoard& board,
-                                           TrimOutcome* out) {
-  ITRIM_ASSIGN_OR_RETURN(double cutoff, board.Quantile(percentile));
-  TrimAboveValueInto(scores_, cutoff, out);
   return Status::OK();
 }
 

@@ -70,7 +70,6 @@ class ResidualScoreModel : public ScoreModel {
                    PublicBoard* board) override;
   void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
-  Status AppendBenignBatch(std::span<const double> obs) override;
   /// Positions above 1 extrapolate beyond the observed residual range (the
   /// adversary may fabricate residuals larger than any clean one).
   double InjectionCap() const override { return 1.5; }
@@ -85,8 +84,6 @@ class ResidualScoreModel : public ScoreModel {
   }
   Status ScoreInto(std::span<const double> obs,
                    std::span<double> out) const override;
-  Status TrimAtReference(double percentile, const PublicBoard& board,
-                         TrimOutcome* out) override;
   void Commit(std::span<const char> keep) override;
 
   /// \brief Survivor rows accumulated since BeginRun() (poison rows carry

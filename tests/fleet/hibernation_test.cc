@@ -196,14 +196,18 @@ TEST_F(HibernationTest, FinishAccountsParkedTenants) {
 }
 
 // Mode and state guards: the per-tenant surface refuses outside
-// per-tenant mode, double hibernation/rehydration is refused, and a
-// hibernated tenant cannot step.
+// per-tenant mode, the lockstep surface (StepRound, fleet Checkpoint and
+// Restore) refuses inside it, double hibernation/rehydration is refused,
+// and a hibernated tenant cannot step.
 TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
   TenantSpec spec = SpecFor(TenantModelKind::kScalar, kWholeBoard);
   FleetConfig config;
   config.threads = 1;
   SessionFleet fleet(config, {spec});
+  EXPECT_EQ(fleet.Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
   ASSERT_TRUE(fleet.Bootstrap().ok());
+  const FleetCheckpoint lockstep = fleet.Checkpoint().ValueOrDie();
 
   // Lockstep mode: per-tenant calls are refused.
   EXPECT_EQ(fleet.StepTenant(0).status().code(),
@@ -212,9 +216,13 @@ TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
   EXPECT_EQ(fleet.RehydrateTenant(0).code(), StatusCode::kFailedPrecondition);
 
   ASSERT_TRUE(fleet.BeginPerTenantStepping().ok());
-  // Per-tenant mode: lockstep stepping is refused.
+  // Per-tenant mode: lockstep stepping and fleet checkpoints are refused.
   EXPECT_EQ(fleet.StepRound().status().code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fleet.Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fleet.Restore(lockstep).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(fleet.per_tenant_mode());
 
   EXPECT_EQ(fleet.StepTenant(7).status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(fleet.AttachTenantObservability(fleet.num_tenants(), {}).code(),
@@ -223,6 +231,11 @@ TEST_F(HibernationTest, GuardsRejectInvalidTransitions) {
   EXPECT_EQ(fleet.HibernateTenant(0).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(fleet.StepTenant(0).status().code(),
             StatusCode::kFailedPrecondition);
+  // A parked tenant has no session to checkpoint.
+  EXPECT_EQ(fleet.Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fleet.Restore(lockstep).code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(fleet.TenantResident(0));
   ASSERT_TRUE(fleet.RehydrateTenant(0).ok());
   EXPECT_EQ(fleet.RehydrateTenant(0).code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(fleet.StepTenant(0).ok());

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "fleet/tenant.h"
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
+#include "ml/linreg.h"
 
 #include "game/summary_test_util.h"
 
@@ -165,7 +167,7 @@ TEST_F(SessionFleetTest, CheckpointRestoreResumesBitIdentically) {
   SessionFleet first(config, HeterogeneousSpecs(12));
   ASSERT_TRUE(first.Bootstrap().ok());
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(first.StepRound().ok());
-  FleetCheckpoint checkpoint = first.Checkpoint();
+  FleetCheckpoint checkpoint = first.Checkpoint().ValueOrDie();
   EXPECT_EQ(checkpoint.next_round, 5);
   ASSERT_EQ(checkpoint.sessions.size(), 12u);
 
@@ -190,7 +192,7 @@ TEST_F(SessionFleetTest, RestoreRejectsInconsistentRoundCounts) {
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_TRUE(fleet.StepRound().ok());
   ASSERT_TRUE(fleet.StepRound().ok());
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
 
   FleetCheckpoint inflated = checkpoint;
   inflated.next_round = 7;  // sessions only carry 2 round records
@@ -225,7 +227,7 @@ TEST_F(SessionFleetTest, RestoreRejectsTenantCountMismatch) {
   SessionFleet fleet(config, HeterogeneousSpecs(4));
   ASSERT_TRUE(fleet.Bootstrap().ok());
   ASSERT_TRUE(fleet.StepRound().ok());
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
   checkpoint.sessions.pop_back();
   Status status = fleet.Restore(checkpoint);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -250,7 +252,7 @@ TEST_F(SessionFleetTest, RejectedRestoreLeavesFleetBitIdentical) {
 
   // Corrupt a copy of the fleet's own checkpoint three different ways and
   // throw each at the live fleet.
-  FleetCheckpoint checkpoint = fleet.Checkpoint();
+  FleetCheckpoint checkpoint = fleet.Checkpoint().ValueOrDie();
   FleetCheckpoint truncated = checkpoint;
   truncated.sessions.pop_back();
   EXPECT_FALSE(fleet.Restore(truncated).ok());
@@ -481,6 +483,19 @@ TEST_F(SessionFleetTest, RejectsEachInvalidTenantSpecField) {
   // round-mass rule is refused.
   spec.reference = TenantReferenceKind::kRoundMass;
   expect_rejected(spec, "ldp with round-mass reference");
+
+  // Fitted-model options go through the policy's own option check.
+  RegressionData regression = MakeSyntheticRegression(100, 2, 0.1, 11);
+  spec = TenantSpec{};
+  spec.model = TenantModelKind::kResidual;
+  spec.regression = &regression;
+  spec.reference = TenantReferenceKind::kFittedModel;
+  EXPECT_TRUE(spec.Validate().ok());
+  spec.fitted_reference.max_refits = 0;
+  expect_rejected(spec, "fitted_reference.max_refits");
+  spec.fitted_reference = FittedModelReference::Options{};
+  spec.fitted_reference.tol = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(spec, "fitted_reference.tol");
 
   // Game-config fields are validated through the same path.
   spec = TenantSpec{};

@@ -11,7 +11,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
@@ -347,23 +349,62 @@ void ExpectTrimMatchesSeed(FittedModelReference* reference, double percentile,
   EXPECT_EQ(reference->last_refit_iterations(), want_iters);
 }
 
-// One round of hand-built [x..., y] rows on a bootstrapped residual model.
+// A round of hand-built [x..., y] rows, exposed the way the residual model
+// exposes its round. FittedModelReference and SeedFittedTrim read only
+// observations(), ObsWidth() and the size of scores(), so the scores are
+// placeholders and the data-source hooks do nothing.
+class HandBuiltRoundModel : public ScoreModel {
+ public:
+  void SetRound(std::vector<double> rows, size_t width) {
+    rows_ = std::move(rows);
+    width_ = width;
+    scores_.assign(rows_.size() / width, 0.0);
+    is_poison_.assign(scores_.size(), 0);
+  }
+
+  std::string name() const override { return "hand_built"; }
+  uint64_t BoardSeedSalt() const override { return 0; }
+  Status BeginRun() override { return Status::OK(); }
+  Status Bootstrap(size_t, Rng*, PublicBoard*) override {
+    return Status::OK();
+  }
+  void BeginRound(size_t) override {}
+  void AppendBenignBatch(size_t, Rng*) override {}
+  Status AppendPoison(double, Rng*, const PublicBoard&) override {
+    return Status::FailedPrecondition("hand-built rounds take no poison");
+  }
+  std::span<const double> scores() const override { return scores_; }
+  std::span<const char> is_poison() const override { return is_poison_; }
+  size_t ObsWidth() const override { return width_; }
+  bool ProvidesObservations() const override { return true; }
+  std::span<const double> observations() const override { return rows_; }
+  void Commit(std::span<const char>) override {}
+
+ protected:
+  double ScoreObservation(std::span<const double>) const override {
+    return 0.0;
+  }
+
+ private:
+  std::vector<double> rows_;
+  size_t width_ = 1;
+  std::vector<double> scores_;
+  std::vector<char> is_poison_;
+};
+
+// One round of hand-built rows of `dims` features plus the response; the
+// synthetic source supplies feature rows to build them from.
 struct HandBuiltRound {
   RegressionData source;
-  ResidualScoreModel model;
-  PublicBoard board;
+  HandBuiltRoundModel model;
+  PublicBoard board;  ///< never read: the fitted policy ignores the board
+  size_t dims;
 
   explicit HandBuiltRound(size_t dims)
-      : source(MakeSyntheticRegression(200, dims, 0.1, 31)), model(&source) {}
+      : source(MakeSyntheticRegression(200, dims, 0.1, 31)), dims(dims) {}
 
   void Play(const std::vector<double>& rows) {
-    Rng rng(37);
-    ASSERT_TRUE(model.BeginRun().ok());
-    ASSERT_TRUE(model.Bootstrap(100, &rng, &board).ok());
-    board.Seal();
-    const size_t width = model.ObsWidth();
-    model.BeginRound(rows.size() / width);
-    ASSERT_TRUE(model.AppendBenignBatch(rows).ok());
+    model.SetRound(rows, dims + 1);
   }
 };
 

@@ -11,8 +11,7 @@
 //      across every scheme and data setting.
 //
 // Plus the span plumbing around them: mismatched spans are rejected with
-// InvalidArgument, external AppendBenignBatch ingest scores like the
-// simulation path, and scores()/is_poison() stay parallel views.
+// InvalidArgument, and scores()/is_poison() stay parallel views.
 #include "game/score_model.h"
 
 #include <gtest/gtest.h>
@@ -46,12 +45,11 @@ struct VariantGuard {
 
 const size_t kBatchSizes[] = {0, 1, 2, 3, 4, 5, 17, 64, 257};
 
-// Bootstraps a distance model over an unlabeled control-chart sample so the
+// Bootstraps a distance model over a control-chart sample so the
 // percentile geometry exists before scoring.
 class DistanceModelFixture {
  public:
   DistanceModelFixture() : data_(MakeControl(35, 40)), model_(&data_) {
-    data_.labels.clear();  // external ingest needs an unlabeled source
     Rng rng(71);
     EXPECT_TRUE(model_.BeginRun().ok());
     EXPECT_TRUE(model_.Bootstrap(120, &rng, &board_).ok());
@@ -155,71 +153,6 @@ TEST(ScoreIntoSpanCheckTest, MismatchedSpansAreInvalidArgument) {
   // One double short of a whole number of rows.
   std::vector<double> rows(5 * dims - 1), scores(5);
   EXPECT_EQ(fx.model_.ScoreInto(rows, scores).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ExternalIngestTest, IdentityIngestAppendsVerbatim) {
-  std::vector<double> pool = UniformPool(100, 19);
-  IdentityScoreModel model(&pool);
-  ASSERT_TRUE(model.BeginRun().ok());
-  model.BeginRound(4);
-  const std::vector<double> obs = {0.25, -1.5, 3.75, 0.0};
-  ASSERT_TRUE(model.AppendBenignBatch(obs).ok());
-  std::span<const double> scores = model.scores();
-  std::span<const char> poison = model.is_poison();
-  ASSERT_EQ(scores.size(), obs.size());
-  ASSERT_EQ(poison.size(), obs.size());
-  for (size_t i = 0; i < obs.size(); ++i) {
-    EXPECT_TRUE(BitEqual(scores[i], obs[i]));
-    EXPECT_EQ(poison[i], 0);
-  }
-}
-
-TEST(ExternalIngestTest, DistanceIngestScoresLikeScalarPath) {
-  DistanceModelFixture fx;
-  Rng rng(23);
-  const size_t n = 37;
-  std::vector<double> obs = FlatRows(fx.data_, n, &rng);
-  fx.model_.BeginRound(n);
-  ASSERT_TRUE(fx.model_.AppendBenignBatch(obs).ok());
-  std::span<const double> scores = fx.model_.scores();
-  ASSERT_EQ(scores.size(), n);
-  const size_t dims = fx.data_.dims();
-  for (size_t i = 0; i < n; ++i) {
-    double expect = 0.0;
-    ASSERT_TRUE(fx.model_
-                    .ScoreIntoScalar(
-                        std::span<const double>(obs).subspan(i * dims, dims),
-                        std::span<double>(&expect, 1))
-                    .ok());
-    EXPECT_TRUE(BitEqual(scores[i], expect)) << "i=" << i;
-  }
-}
-
-TEST(ExternalIngestTest, DistanceIngestRejectsLabeledAndUnbootstrapped) {
-  Dataset labeled = MakeControl(41, 30);
-  ASSERT_TRUE(labeled.labeled());
-  DistanceScoreModel model(&labeled);
-  std::vector<double> obs(labeled.dims(), 0.0);
-  // Not bootstrapped yet: no geometry to score against.
-  EXPECT_EQ(model.AppendBenignBatch(obs).code(),
-            StatusCode::kFailedPrecondition);
-  Rng rng(43);
-  PublicBoard board;
-  ASSERT_TRUE(model.BeginRun().ok());
-  ASSERT_TRUE(model.Bootstrap(60, &rng, &board).ok());
-  // Bootstrapped but labeled: external rows carry no labels.
-  EXPECT_EQ(model.AppendBenignBatch(obs).code(),
-            StatusCode::kFailedPrecondition);
-  // Partial rows are rejected outright.
-  Dataset unlabeled = labeled;
-  unlabeled.labels.clear();
-  DistanceScoreModel umodel(&unlabeled);
-  ASSERT_TRUE(umodel.BeginRun().ok());
-  PublicBoard uboard;
-  ASSERT_TRUE(umodel.Bootstrap(60, &rng, &uboard).ok());
-  std::vector<double> partial(unlabeled.dims() + 1, 0.0);
-  EXPECT_EQ(umodel.AppendBenignBatch(partial).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -392,48 +325,6 @@ TEST(VariantStreamEquivalenceLdpTest, LdpStreamBitIdentical) {
         session.RunToCompletion().ValueOrDie();
   }
   ExpectSummaryBitIdentical(per_variant[0], per_variant[1]);
-}
-
-// The engine's batched no-adversary poison path (AppendPoisonBatch) must be
-// a pure dispatch-count optimization: records bit-identical to the default
-// per-observation loop, which a wrapper model pins here.
-class LoopingPoisonLdpModel : public LdpReportScoreModel {
- public:
-  using LdpReportScoreModel::LdpReportScoreModel;
-  Status AppendPoisonBatch(std::span<const double> positions, Rng* rng,
-                           const PublicBoard& board) override {
-    // Deliberately the base-class default loop, not the batched override.
-    return ScoreModel::AppendPoisonBatch(positions, rng, board);
-  }
-};
-
-TEST(PoisonBatchEquivalenceTest, BatchedPoisonMatchesPerObservationLoop) {
-  std::vector<double> population = UniformPool(1500, 41);
-  for (double& v : population) v = 2.0 * v - 1.0;
-  PiecewiseMechanism mechanism(2.0);
-  GameConfig config;
-  config.rounds = 5;
-  config.round_size = 60;
-  config.attack_ratio = 0.25;
-  config.bootstrap_size = 80;
-  config.seed = 999;
-
-  GameSummary batched, looped;
-  {
-    InputManipulationAttack attack(1.0);
-    LdpReportScoreModel model(&population, &mechanism, &attack, config.tth);
-    ElasticCollector collector(0.5);
-    TrimmingSession session(config, &model, &collector, nullptr, nullptr);
-    batched = session.RunToCompletion().ValueOrDie();
-  }
-  {
-    InputManipulationAttack attack(1.0);
-    LoopingPoisonLdpModel model(&population, &mechanism, &attack, config.tth);
-    ElasticCollector collector(0.5);
-    TrimmingSession session(config, &model, &collector, nullptr, nullptr);
-    looped = session.RunToCompletion().ValueOrDie();
-  }
-  ExpectSummaryBitIdentical(batched, looped);
 }
 
 }  // namespace

@@ -165,10 +165,6 @@ class InterleavedReplicaModel : public ScoreModel {
     }
   }
 
-  Status AppendBenignBatch(std::span<const double> /*obs*/) override {
-    return Status::FailedPrecondition("not replicated");
-  }
-
   double InjectionCap() const override { return 1.5; }
 
   Status AppendPoison(double position, Rng* rng,
