@@ -5,7 +5,8 @@
 //
 //   1. runs a 1000-tenant heterogeneous fleet (scalar / distance / LDP
 //      tenants cycling through every scheme) at 1 thread and at N threads
-//      and asserts the two FleetSummarys are bit-identical,
+//      and asserts the two runs (FleetSummary plus the aggregates StepRound
+//      returned) are bit-identical,
 //   2. checkpoints the same fleet mid-stream, restores it into a fresh
 //      fleet, finishes the run and asserts bit-identity again, and
 //   3. times StepRound throughput over a tenants x threads grid and prints
@@ -107,10 +108,36 @@ struct FleetFixture {
   }
 };
 
-// First bitwise difference between two fleet summaries, or "" when
-// identical. Aggregates are derived from the per-tenant records, so
-// comparing records + aggregate totals covers the whole reduction.
-std::string FirstDifference(const FleetSummary& a, const FleetSummary& b) {
+// One lockstep run: the aggregates StepRound returned, in round order, and
+// the summary Finish() gave after the last round.
+struct FleetRun {
+  std::vector<FleetRoundAggregate> rounds;
+  FleetSummary summary;
+};
+
+// Plays `rounds` lockstep rounds, appending each aggregate to `run`.
+Status StepRounds(SessionFleet* fleet, int rounds, FleetRun* run) {
+  for (int r = 0; r < rounds; ++r) {
+    ITRIM_ASSIGN_OR_RETURN(FleetRoundAggregate aggregate, fleet->StepRound());
+    run->rounds.push_back(aggregate);
+  }
+  return Status::OK();
+}
+
+// Bootstrap + config().rounds StepRounds + Finish.
+Status RunFleet(SessionFleet* fleet, FleetRun* run) {
+  ITRIM_RETURN_NOT_OK(fleet->Bootstrap());
+  ITRIM_RETURN_NOT_OK(StepRounds(fleet, fleet->config().rounds, run));
+  run->summary = fleet->Finish();
+  return Status::OK();
+}
+
+// First bitwise difference between two fleet runs, or "" when identical.
+// Aggregates are derived from the per-tenant records, so comparing
+// records + aggregate totals covers the whole reduction.
+std::string FirstDifference(const FleetRun& run_a, const FleetRun& run_b) {
+  const FleetSummary& a = run_a.summary;
+  const FleetSummary& b = run_b.summary;
   if (a.tenants.size() != b.tenants.size()) return "tenant count";
   for (size_t i = 0; i < a.tenants.size(); ++i) {
     const GameSummary& ga = a.tenants[i];
@@ -134,15 +161,14 @@ std::string FirstDifference(const FleetSummary& a, const FleetSummary& b) {
       }
     }
   }
-  if (a.rounds.size() != b.rounds.size()) return "aggregate count";
-  for (size_t r = 0; r < a.rounds.size(); ++r) {
-    if (!BitEqual(a.rounds[r].trim_rate, b.rounds[r].trim_rate) ||
-        !BitEqual(a.rounds[r].poison_acceptance,
-                  b.rounds[r].poison_acceptance) ||
-        !BitEqual(a.rounds[r].tenant_trim_rate.p50,
-                  b.rounds[r].tenant_trim_rate.p50) ||
-        !BitEqual(a.rounds[r].tenant_quality.p90,
-                  b.rounds[r].tenant_quality.p90)) {
+  const std::vector<FleetRoundAggregate>& ra = run_a.rounds;
+  const std::vector<FleetRoundAggregate>& rb = run_b.rounds;
+  if (ra.size() != rb.size()) return "aggregate count";
+  for (size_t r = 0; r < ra.size(); ++r) {
+    if (!BitEqual(ra[r].trim_rate, rb[r].trim_rate) ||
+        !BitEqual(ra[r].poison_acceptance, rb[r].poison_acceptance) ||
+        !BitEqual(ra[r].tenant_trim_rate.p50, rb[r].tenant_trim_rate.p50) ||
+        !BitEqual(ra[r].tenant_quality.p90, rb[r].tenant_quality.p90)) {
       return "aggregate round " + std::to_string(r);
     }
   }
@@ -165,22 +191,24 @@ FleetConfig MakeConfig(int rounds, int threads) {
 int RunDeterminism(FleetFixture* fixture, size_t tenants, int rounds,
                    int threads) {
   SessionFleet serial(MakeConfig(rounds, 1), fixture->BuildSpecs(tenants));
-  auto serial_summary = serial.RunToCompletion();
-  if (!serial_summary.ok()) {
+  FleetRun serial_run;
+  Status status = RunFleet(&serial, &serial_run);
+  if (!status.ok()) {
     std::fprintf(stderr, "FAIL: serial fleet: %s\n",
-                 serial_summary.status().ToString().c_str());
+                 status.ToString().c_str());
     return 1;
   }
 
   SessionFleet parallel(MakeConfig(rounds, threads),
                         fixture->BuildSpecs(tenants));
-  auto parallel_summary = parallel.RunToCompletion();
-  if (!parallel_summary.ok()) {
+  FleetRun parallel_run;
+  status = RunFleet(&parallel, &parallel_run);
+  if (!status.ok()) {
     std::fprintf(stderr, "FAIL: parallel fleet: %s\n",
-                 parallel_summary.status().ToString().c_str());
+                 status.ToString().c_str());
     return 1;
   }
-  std::string diff = FirstDifference(*serial_summary, *parallel_summary);
+  std::string diff = FirstDifference(serial_run, parallel_run);
   if (!diff.empty()) {
     std::fprintf(stderr, "FAIL: 1-thread vs %d-thread diverged at %s\n",
                  threads, diff.c_str());
@@ -191,12 +219,13 @@ int RunDeterminism(FleetFixture* fixture, size_t tenants, int rounds,
               tenants, threads, rounds);
 
   // Mid-stream checkpoint/restore, resumed at yet another thread count.
+  // The resumed run's aggregates are the first fleet's followed by the
+  // restored fleet's.
   SessionFleet first(MakeConfig(rounds, threads), fixture->BuildSpecs(tenants));
   if (!first.Bootstrap().ok()) return 1;
   const int cut = rounds / 2;
-  for (int r = 0; r < cut; ++r) {
-    if (!first.StepRound().ok()) return 1;
-  }
+  FleetRun resumed_run;
+  if (!StepRounds(&first, cut, &resumed_run).ok()) return 1;
   Result<FleetCheckpoint> checkpoint = first.Checkpoint();
   if (!checkpoint.ok()) return 1;
   SessionFleet resumed(MakeConfig(rounds, 2), fixture->BuildSpecs(tenants));
@@ -204,10 +233,9 @@ int RunDeterminism(FleetFixture* fixture, size_t tenants, int rounds,
     std::fprintf(stderr, "FAIL: fleet restore failed\n");
     return 1;
   }
-  for (int r = cut; r < rounds; ++r) {
-    if (!resumed.StepRound().ok()) return 1;
-  }
-  diff = FirstDifference(*serial_summary, resumed.Finish());
+  if (!StepRounds(&resumed, rounds - cut, &resumed_run).ok()) return 1;
+  resumed_run.summary = resumed.Finish();
+  diff = FirstDifference(serial_run, resumed_run);
   if (!diff.empty()) {
     std::fprintf(stderr,
                  "FAIL: checkpoint/restore stream diverged at %s\n",

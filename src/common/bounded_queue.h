@@ -5,10 +5,10 @@
 // backpressure boundary of the service: Push() blocks the producer while
 // the shard is `capacity` events behind (so a slow worker throttles its
 // producers instead of growing memory without bound), TryPush() refuses
-// instead of blocking (the load-shedding shape), and the single consumer
-// drains events in arrival order with PopBatch() — batching is what lets
-// the worker coalesce co-arriving events for the same tenant into full
-// rounds.
+// instead of blocking (the service probes with it to count stalls), and
+// the single consumer drains events in arrival order with PopBatch() —
+// batching is what lets the worker coalesce co-arriving events for the
+// same tenant into full rounds.
 //
 // Storage is a fixed ring over a vector allocated once at construction, so
 // a steady-state Push/PopBatch cycle performs zero heap allocations (for

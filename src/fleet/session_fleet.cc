@@ -76,6 +76,13 @@ Status SessionFleet::Materialize() {
     }
     tenants_.push_back(std::move(tenant).ValueOrDie());
   }
+  // Pre-size the per-round scratch, for Bootstrap and Restore alike, so
+  // steady-state StepRounds never grow it.
+  step_records_.resize(tenants_.size());
+  step_statuses_.resize(tenants_.size());
+  reduce_trim_rates_.reserve(tenants_.size());
+  reduce_acceptances_.reserve(tenants_.size());
+  reduce_qualities_.reserve(tenants_.size());
   return Status::OK();
 }
 
@@ -101,15 +108,6 @@ Status SessionFleet::Bootstrap() {
     }
   }
 
-  round_aggregates_.clear();
-  // Pre-size the lockstep book and the per-round scratch so steady-state
-  // StepRounds within the configured horizon never grow them.
-  round_aggregates_.reserve(static_cast<size_t>(config_.rounds));
-  step_records_.resize(tenants_.size());
-  step_statuses_.resize(tenants_.size());
-  reduce_trim_rates_.reserve(tenants_.size());
-  reduce_acceptances_.reserve(tenants_.size());
-  reduce_qualities_.reserve(tenants_.size());
   next_round_ = 1;
   per_tenant_mode_ = false;
   bootstrapped_ = true;
@@ -244,7 +242,6 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
   }
 
   FleetRoundAggregate aggregate = ReduceRound(next_round_, step_records_);
-  round_aggregates_.push_back(aggregate);
   ++next_round_;
   if (obs_slot_ != nullptr) {
     obs::MetricSlot& m = *obs_slot_;
@@ -290,7 +287,6 @@ Result<FleetSummary> SessionFleet::RunToCompletion() {
 
 FleetSummary SessionFleet::Finish() const {
   FleetSummary summary;
-  summary.rounds = round_aggregates_;
   summary.tenants.reserve(tenants_.size());
   std::vector<double> untrimmed, benign_loss, survival;
   untrimmed.reserve(tenants_.size());
@@ -354,8 +350,9 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
         " sessions for a fleet of " + std::to_string(specs_.size()));
   }
   // Lockstep stepping means every session must carry exactly the rounds
-  // the fleet played; a checkpoint violating that (hand-edited, corrupted,
-  // or from a non-lockstep source) would index past records() below.
+  // the fleet played, numbered 1..k; a checkpoint violating that
+  // (hand-edited, corrupted, or from a non-lockstep source) would resume
+  // sessions at different rounds, and later aggregates would mix them.
   if (checkpoint.next_round < 1) {
     return Status::InvalidArgument("checkpoint next_round must be >= 1");
   }
@@ -386,9 +383,7 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
   // stream state — session Restore runs its own bootstrap internally, so
   // the fleet-level bootstrap pass is skipped here (running it too would
   // do every clean calibration twice). Session restores replay the
-  // recorded observations, so strategy state is reconstructed exactly; the
-  // fleet's aggregates are then recomputed from the replayed records
-  // (tenant order), keeping FleetCheckpoint minimal.
+  // recorded observations, so strategy state is reconstructed exactly.
   ITRIM_RETURN_NOT_OK(Materialize());
   const size_t n = tenants_.size();
   std::vector<Status> statuses(n);
@@ -406,7 +401,6 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
     }
   }
   next_round_ = checkpoint.next_round;
-  RebuildAggregates();
   bootstrapped_ = true;
   return Status::OK();
 }
@@ -440,19 +434,6 @@ FleetRoundAggregate SessionFleet::ReduceRound(
   aggregate.tenant_poison_acceptance = QuantileTriple(&reduce_acceptances_);
   aggregate.tenant_quality = QuantileTriple(&reduce_qualities_);
   return aggregate;
-}
-
-void SessionFleet::RebuildAggregates() {
-  round_aggregates_.clear();
-  const size_t rounds_played = static_cast<size_t>(next_round_ - 1);
-  round_aggregates_.reserve(rounds_played);
-  std::vector<RoundRecord> row(tenants_.size());
-  for (size_t r = 0; r < rounds_played; ++r) {
-    for (size_t i = 0; i < tenants_.size(); ++i) {
-      row[i] = tenants_[i].session->records()[r];
-    }
-    round_aggregates_.push_back(ReduceRound(static_cast<int>(r) + 1, row));
-  }
 }
 
 }  // namespace itrim

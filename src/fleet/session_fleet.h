@@ -8,7 +8,9 @@
 // plays round i of *all* tenants, sharded across the thread pool, then
 // reduces the per-tenant RoundRecords — in tenant order — into one
 // FleetRoundAggregate (arrival/keep totals, trim rate, poison acceptance,
-// and cross-tenant quantiles of the per-tenant rates).
+// and cross-tenant quantiles of the per-tenant rates). StepRound() returns
+// each aggregate and the fleet keeps none of them, so its state does not
+// grow with the rounds played; callers that want the history keep it.
 //
 // Determinism contract (the PR 1 ordered-reduction discipline): every
 // tenant derives its seed purely from (fleet seed, tenant index), sessions
@@ -18,8 +20,8 @@
 //
 // Fleets are checkpointable: Checkpoint() captures every session's
 // SessionCheckpoint (plus the lockstep round counter) and Restore() resumes
-// an identically configured fleet bit-identically, rebuilding the per-round
-// aggregates from the sessions' replayed records.
+// an identically configured fleet bit-identically: every later StepRound()
+// returns the aggregate the uninterrupted fleet would have returned.
 #ifndef ITRIM_FLEET_SESSION_FLEET_H_
 #define ITRIM_FLEET_SESSION_FLEET_H_
 
@@ -72,11 +74,11 @@ struct FleetRoundAggregate {
   FleetQuantiles tenant_quality;
 };
 
-/// \brief Outcome of a fleet run: per-tenant books plus cross-tenant
-/// aggregates.
+/// \brief Outcome of a fleet run: per-tenant books, whole-run totals and
+/// cross-tenant quantiles. Per-round aggregates are not repeated here:
+/// StepRound() returns each one as it is played.
 struct FleetSummary {
   std::vector<GameSummary> tenants;        ///< tenant order
-  std::vector<FleetRoundAggregate> rounds;  ///< lockstep round order
   /// Cross-tenant quantiles of the whole-run per-tenant fractions. Benign
   /// loss is the collector's trimming-overhead payoff proxy; poison
   /// survival is the adversary's gain proxy (Section III payoffs).
@@ -123,7 +125,8 @@ class SessionFleet {
   /// or Restore() to continue.
   Result<FleetRoundAggregate> StepRound();
 
-  /// \brief Bootstrap + config().rounds StepRounds + Finish.
+  /// \brief Bootstrap + config().rounds StepRounds + Finish. The rounds'
+  /// aggregates are dropped; step the fleet directly to keep them.
   Result<FleetSummary> RunToCompletion();
 
   /// \brief Summary of everything played so far; the fleet remains
@@ -137,7 +140,8 @@ class SessionFleet {
   Result<FleetCheckpoint> Checkpoint() const;
 
   /// \brief Resumes from a checkpoint of an identically configured fleet;
-  /// subsequent StepRounds are bit-identical to the original stream.
+  /// subsequent StepRounds are bit-identical to the original stream. The
+  /// aggregates of the rounds before the checkpoint are not rebuilt.
   ///
   /// All-or-nothing: the whole checkpoint (session count, lockstep round
   /// alignment, per-session record shape) is validated *before* any
@@ -223,8 +227,6 @@ class SessionFleet {
   /// scratch below.
   FleetRoundAggregate ReduceRound(int round,
                                   const std::vector<RoundRecord>& records);
-  /// Rebuilds round_aggregates_ from the sessions' replayed records.
-  void RebuildAggregates();
   /// FailedPrecondition in per-tenant mode (the lockstep surface:
   /// StepRound, Checkpoint, Restore).
   Status RequireLockstep() const;
@@ -234,7 +236,6 @@ class SessionFleet {
   FleetConfig config_;
   std::vector<TenantSpec> specs_;
   std::vector<Tenant> tenants_;
-  std::vector<FleetRoundAggregate> round_aggregates_;
   int next_round_ = 1;
   bool bootstrapped_ = false;
   // Set by BeginPerTenantStepping() (single-threaded, before any worker

@@ -1,7 +1,6 @@
 #include "ingest/ingest.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -12,12 +11,6 @@ namespace itrim {
 
 namespace {
 
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // SplitMix64 finalizer: tenant ids are often dense small integers, so the
 // raw id modulo shards would stripe neighboring tenants onto neighboring
 // shards; the mix spreads any id pattern uniformly.
@@ -26,6 +19,11 @@ uint64_t MixTenantId(uint64_t id) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+// Home shard of a tenant: every event for one tenant lands on this shard.
+size_t HomeShard(uint64_t tenant_id, size_t shard_count) {
+  return static_cast<size_t>(MixTenantId(tenant_id) % shard_count);
 }
 
 }  // namespace
@@ -71,14 +69,6 @@ Status IngestConfig::Validate() const {
   if (batch_max == 0) {
     return Status::InvalidArgument("batch_max must be >= 1");
   }
-  // Negated so NaN fails too: a NaN rate would disable limiting and a NaN
-  // burst would fall back to the default.
-  if (!(rate_limit_per_sec >= 0.0)) {
-    return Status::InvalidArgument("rate_limit_per_sec must be >= 0");
-  }
-  if (!(rate_limit_burst >= 0.0)) {
-    return Status::InvalidArgument("rate_limit_burst must be >= 0");
-  }
   if (trace_capacity > obs::kMaxTraceCapacity) {
     return Status::InvalidArgument("trace_capacity must be <= " +
                                    std::to_string(obs::kMaxTraceCapacity));
@@ -99,10 +89,6 @@ IngestService::IngestService(IngestConfig config, SessionFleet* fleet)
 }
 
 IngestService::~IngestService() { Stop(); }
-
-size_t IngestService::ShardOf(uint64_t tenant_id) const {
-  return static_cast<size_t>(MixTenantId(tenant_id) % shards_.size());
-}
 
 Status IngestService::Start() {
   if (started_) {
@@ -160,13 +146,16 @@ Status IngestService::Start() {
   registry_->SetInfo("kernel",
                      kernels::VariantName(kernels::ActiveVariant()));
   registry_->SetInfo("shards", std::to_string(shard_count));
-  // Home assignment before any worker runs: every tenant belongs to
-  // exactly one shard, so per-tenant event order is total and tenant
-  // state is never touched by two threads.
+  // Home assignment and lanes before any worker runs: every tenant
+  // belongs to exactly one shard, so per-tenant event order is total and
+  // tenant state is never touched by two threads.
+  lanes_.assign(fleet_->num_tenants(), TenantLane{});
   for (size_t i = 0; i < fleet_->num_tenants(); ++i) {
-    Shard& shard = *shards_[ShardOf(i)];
+    Shard& shard = *shards_[HomeShard(i, shards_.size())];
     shard.owned.push_back(i);
     if (fleet_->TenantResident(i)) ++shard.resident_owned;
+    lanes_[i].round_size =
+        static_cast<uint64_t>(fleet_->tenant(i).config.round_size);
   }
   // Deep telemetry: every session reports into its home shard's slot and
   // trace ring (persisted on the Tenant, so hibernation keeps the sinks).
@@ -190,7 +179,7 @@ Status IngestService::Start() {
   return Status::OK();
 }
 
-Status IngestService::Admit(const IngestEvent& event, bool blocking) {
+Status IngestService::Submit(const IngestEvent& event) {
   if (!started_ || stopping_.load(std::memory_order_relaxed)) {
     service_slot_->Inc(obs::Counter::kIngestEventsRejected);
     return Status::FailedPrecondition("ingest service is not running");
@@ -211,18 +200,18 @@ Status IngestService::Admit(const IngestEvent& event, bool blocking) {
     return Status::InvalidArgument("unknown tenant id " +
                                    std::to_string(event.tenant_id));
   }
-  Shard& shard = *shards_[ShardOf(event.tenant_id)];
+  Shard& shard = *shards_[HomeShard(event.tenant_id, shards_.size())];
   const bool deep = config_.observe_rounds;
   const bool timed =
       deep && submit_tick_.fetch_add(1, std::memory_order_relaxed) %
                       kSubmitSampleEvery ==
                   0;
   const int64_t t0 = timed ? obs::MonotonicNowNs() : 0;
-  // TryPush first so a full queue is observable: a blocking Submit that
-  // failed the fast path is a backpressure stall, counted and traced
-  // before the producer parks on Push.
+  // TryPush first so a full queue is observable: a Submit that failed the
+  // fast path is a backpressure stall, counted and traced before the
+  // producer parks on Push.
   bool pushed = shard.queue.TryPush(event);
-  if (!pushed && blocking) {
+  if (!pushed) {
     if (!shard.queue.closed()) {
       shard.slot->Inc(obs::Counter::kIngestBackpressureBlocks);
       if (shard.trace != nullptr) {
@@ -233,12 +222,9 @@ Status IngestService::Admit(const IngestEvent& event, bool blocking) {
     }
     pushed = shard.queue.Push(event);
   }
-  if (!pushed) {
+  if (!pushed) {  // Push fails only on a closed queue
     service_slot_->Inc(obs::Counter::kIngestEventsRejected);
-    if (stopping_.load(std::memory_order_relaxed) || shard.queue.closed()) {
-      return Status::FailedPrecondition("ingest service is stopping");
-    }
-    return Status::Unavailable("ingest shard queue is full");
+    return Status::FailedPrecondition("ingest service is stopping");
   }
   shard.submitted.fetch_add(1, std::memory_order_release);
   shard.slot->Inc(obs::Counter::kIngestEventsAccepted);
@@ -251,32 +237,23 @@ Status IngestService::Admit(const IngestEvent& event, bool blocking) {
   return Status::OK();
 }
 
-Status IngestService::Submit(const IngestEvent& event) {
-  return Admit(event, /*blocking=*/true);
-}
-
-Status IngestService::TrySubmit(const IngestEvent& event) {
-  return Admit(event, /*blocking=*/false);
-}
-
 Status IngestService::SubmitFrame(const unsigned char* data, size_t size) {
   ITRIM_ASSIGN_OR_RETURN(IngestEvent event, DecodeIngestEvent(data, size));
   return Submit(event);
 }
 
-bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
+void IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
                               TenantLane& lane) {
   const size_t i = static_cast<size_t>(tenant_id);
-  const uint64_t round_size = static_cast<uint64_t>(lane.round_size);
   const bool deep = config_.observe_rounds;
-  while (lane.pending >= round_size) {
+  while (lane.pending >= lane.round_size) {
     if (!fleet_->TenantResident(i)) {
       Status status = fleet_->RehydrateTenant(i);
       if (!status.ok()) {
         std::lock_guard<std::mutex> lock(shard.error_mu);
         if (shard.error.ok()) shard.error = status;
         lane.pending = 0;  // drop; retrying every batch would spin
-        return false;
+        return;
       }
       shard.slot->Inc(obs::Counter::kIngestRehydrations);
       if (shard.trace != nullptr) {
@@ -296,7 +273,7 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
       std::lock_guard<std::mutex> lock(shard.error_mu);
       if (shard.error.ok()) shard.error = record.status();
       lane.pending = 0;
-      return false;
+      return;
     }
     shard.slot->Inc(obs::Counter::kIngestRoundsPlayed);
     if (timed) {
@@ -304,9 +281,8 @@ bool IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
           obs::Histogram::kIngestRoundWallUs,
           static_cast<double>(obs::MonotonicNowNs() - t0) / 1000.0);
     }
-    lane.pending -= round_size;
+    lane.pending -= lane.round_size;
   }
-  return true;
 }
 
 void IngestService::EnforceResidency(Shard& shard) {
@@ -320,8 +296,7 @@ void IngestService::EnforceResidency(Shard& shard) {
     bool found = false;
     for (uint64_t id : shard.owned) {
       if (!fleet_->TenantResident(static_cast<size_t>(id))) continue;
-      auto it = shard.lanes.find(id);
-      const uint64_t stamp = it == shard.lanes.end() ? 0 : it->second.last_active_batch;
+      const uint64_t stamp = lanes_[id].last_active_batch;
       if (!found || stamp < victim_stamp ||
           (stamp == victim_stamp && id < victim)) {
         victim = id;
@@ -350,10 +325,6 @@ void IngestService::EnforceResidency(Shard& shard) {
 
 void IngestService::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  const double rate = config_.rate_limit_per_sec;
-  const double burst = config_.rate_limit_burst > 0.0
-                           ? config_.rate_limit_burst
-                           : std::max(1.0, rate);
   std::vector<IngestEvent> batch;
   batch.reserve(config_.batch_max);
   uint64_t batch_counter = 0;
@@ -366,40 +337,12 @@ void IngestService::WorkerLoop(size_t shard_index) {
     shard.slot->Inc(obs::Counter::kIngestBatchesPopped);
     shard.slot->Observe(obs::Histogram::kIngestPopBatchSize,
                         static_cast<double>(taken));
-    const int64_t now_ns = SteadyNowNs();
 
     for (const IngestEvent& event : batch) {
-      TenantLane& lane = shard.lanes[event.tenant_id];
-      if (lane.round_size == 0) {  // first arrival: set up the lane
-        lane.round_size =
-            fleet_->tenant(static_cast<size_t>(event.tenant_id))
-                .config.round_size;
-        lane.tokens = burst;  // buckets start full
-        lane.last_refill_ns = now_ns;
-      }
+      TenantLane& lane = lanes_[event.tenant_id];
       lane.last_active_batch = batch_counter;
-
-      uint32_t admitted = event.reports;
-      if (rate > 0.0) {
-        const double elapsed =
-            static_cast<double>(now_ns - lane.last_refill_ns) * 1e-9;
-        lane.tokens = std::min(burst, lane.tokens + elapsed * rate);
-        lane.last_refill_ns = now_ns;
-        if (lane.tokens >= static_cast<double>(event.reports)) {
-          lane.tokens -= static_cast<double>(event.reports);
-        } else {
-          admitted = 0;
-          shard.slot->Inc(obs::Counter::kIngestReportsShed, event.reports);
-          if (shard.trace != nullptr) {
-            shard.trace->Record(obs::TraceKind::kRateLimitShed,
-                                event.tenant_id,
-                                static_cast<double>(event.reports));
-          }
-        }
-      }
-      lane.pending += admitted;
-      if (lane.round_size > 0 &&
-          lane.pending >= static_cast<uint64_t>(lane.round_size)) {
+      lane.pending += event.reports;
+      if (lane.pending >= lane.round_size) {
         DrainLane(shard, event.tenant_id, lane);
       }
     }
@@ -468,7 +411,6 @@ IngestStats IngestService::Stats() const {
     const obs::MetricSlot& slot = *shard->slot;
     stats.events_accepted += slot.Get(obs::Counter::kIngestEventsAccepted);
     stats.reports_enqueued += slot.Get(obs::Counter::kIngestReportsEnqueued);
-    stats.reports_rate_limited += slot.Get(obs::Counter::kIngestReportsShed);
     stats.rounds_played += slot.Get(obs::Counter::kIngestRoundsPlayed);
     // Rehydrations first: every rehydration is preceded by its
     // hibernation on the same shard, so this read order keeps

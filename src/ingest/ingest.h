@@ -8,21 +8,16 @@
 // worker coalesces co-arriving reports into full rounds of the tenant's
 // session via SessionFleet::StepTenant().
 //
-// Determinism contract: a tenant plays one round for every
-// `round_size` reports admitted, so its round records are a pure function
-// of its own admitted arrival sequence — bit-identical to driving that
-// session alone, regardless of shard count, cross-tenant interleaving,
-// queue batching, or hibernation cycles in between (session
-// checkpoint/restore is bit-exact). The only nondeterministic inputs —
-// wall-clock token-bucket refill and load-shedding TrySubmit — act
-// *before* admission and only change which reports are admitted, never
-// how admitted reports are played.
+// Determinism contract: admission is a pure function of the submitted
+// events, and a tenant plays one round for every `round_size` reports
+// admitted, so its round records are a pure function of its own admitted
+// arrival sequence — bit-identical to driving that session alone,
+// regardless of shard count, cross-tenant interleaving, queue batching, or
+// hibernation cycles in between (session checkpoint/restore is bit-exact).
 //
-// Backpressure: each shard owns a bounded queue; Submit() blocks while
-// the shard is `queue_capacity` events behind, TrySubmit() refuses with
-// Unavailable instead (the load-shedding shape). Per-tenant token-bucket
-// rate limiting and LRU hibernation of idle tenants (bounding the
-// resident set per shard) run worker-side.
+// Backpressure: each shard owns a bounded queue, and Submit() blocks while
+// the shard is `queue_capacity` events behind. LRU hibernation of idle
+// tenants (bounding the resident set per shard) runs worker-side.
 #ifndef ITRIM_INGEST_INGEST_H_
 #define ITRIM_INGEST_INGEST_H_
 
@@ -33,7 +28,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -78,10 +72,6 @@ struct IngestConfig {
   size_t queue_capacity = 4096;
   /// Max events a worker drains per batch (coalescing window).
   size_t batch_max = 256;
-  /// Per-tenant admitted-report rate (reports/sec); 0 disables limiting.
-  double rate_limit_per_sec = 0.0;
-  /// Token-bucket burst capacity; 0 = max(1, rate_limit_per_sec).
-  double rate_limit_burst = 0.0;
   /// Max resident (non-hibernated) tenants per shard; when a shard's
   /// active-tenant count exceeds this, the least-recently-active tenants
   /// are hibernated to their compact checkpoints. 0 = unbounded.
@@ -111,10 +101,9 @@ struct IngestConfig {
 /// accumulate across Start/Stop cycles). The counters live on the
 /// service's obs metric slots.
 struct IngestStats {
-  uint64_t events_accepted = 0;   ///< events enqueued (Submit + TrySubmit)
-  uint64_t events_rejected = 0;   ///< bad event / full TrySubmit / closed
+  uint64_t events_accepted = 0;   ///< events enqueued
+  uint64_t events_rejected = 0;   ///< bad event / stopped service
   uint64_t reports_enqueued = 0;  ///< reports carried by accepted events
-  uint64_t reports_rate_limited = 0;  ///< reports dropped by token buckets
   uint64_t rounds_played = 0;     ///< StepTenant calls across all shards
   uint64_t hibernations = 0;
   uint64_t rehydrations = 0;
@@ -125,7 +114,7 @@ struct IngestStats {
 ///
 /// The fleet is borrowed, must be bootstrapped before Start(), and must
 /// not be driven through its lockstep surface while the service runs
-/// (Start() switches it to per-tenant stepping). Submit/TrySubmit are
+/// (Start() switches it to per-tenant stepping). Submit/SubmitFrame are
 /// safe from any number of producer threads; Start/Stop/Flush are for
 /// the owning thread.
 ///
@@ -143,7 +132,10 @@ class IngestService {
   IngestService& operator=(const IngestService&) = delete;
 
   /// \brief Validates the config, switches the fleet to per-tenant
-  /// stepping and spawns the shard workers.
+  /// stepping, builds one empty lane per tenant and spawns the shard
+  /// workers. A service may be started again after Stop(); the counters
+  /// carry over, but each tenant's unplayed remainder (fewer than
+  /// `round_size` reports) from the previous run is dropped.
   Status Start();
 
   /// \brief Enqueues an event on its tenant's shard, blocking while that
@@ -151,10 +143,6 @@ class IngestService {
   /// a zero report count or one above kMaxReportsPerEvent, or a stopped
   /// service.
   Status Submit(const IngestEvent& event);
-
-  /// \brief Like Submit() but refuses with Unavailable instead of
-  /// blocking when the shard queue is full (load shedding).
-  Status TrySubmit(const IngestEvent& event);
 
   /// \brief Decodes one binary wire frame and Submit()s it.
   Status SubmitFrame(const unsigned char* data, size_t size);
@@ -165,7 +153,8 @@ class IngestService {
 
   /// \brief Closes the queues, lets the workers drain what is already
   /// queued, and joins them. Idempotent. Returns the first worker error
-  /// (shard order), if any.
+  /// (shard order), if any. Reports that did not complete a round stay
+  /// unplayed; a later Start() drops them.
   Status Stop();
 
   /// \brief Current counters (safe to call concurrently with producers
@@ -175,9 +164,6 @@ class IngestService {
   const IngestConfig& config() const { return config_; }
   int shards() const { return static_cast<int>(shards_.size()); }
   bool started() const { return started_; }
-
-  /// \brief Shard that owns `tenant_id` (exposed for tests).
-  size_t ShardOf(uint64_t tenant_id) const;
 
   // -- Observability -------------------------------------------------------
 
@@ -198,13 +184,13 @@ class IngestService {
   uint64_t TraceDropped() const;
 
  private:
-  /// Per-tenant coalescing state, owned by the tenant's shard worker.
-  struct TenantLane {
+  /// Per-tenant coalescing state, written only by the tenant's home-shard
+  /// worker. Cache-line aligned so two workers never write the same line.
+  struct alignas(64) TenantLane {
     uint64_t pending = 0;       ///< admitted reports not yet played
-    int round_size = 0;         ///< cached from the tenant's game config
-    double tokens = 0.0;        ///< token bucket fill
-    int64_t last_refill_ns = 0;  ///< steady-clock stamp of the last refill
-    uint64_t last_active_batch = 0;  ///< LRU stamp (worker batch counter)
+    uint64_t round_size = 0;    ///< the tenant's game round_size
+    uint64_t last_active_batch = 0;  ///< LRU stamp (worker batch counter);
+                                     ///< 0 = no traffic since Start()
     uint32_t wall_tick = 0;  ///< 1-in-4 round-wall sampling (deep obs only)
   };
 
@@ -213,7 +199,6 @@ class IngestService {
 
     BoundedMpscQueue<IngestEvent> queue;
     std::thread worker;
-    std::unordered_map<uint64_t, TenantLane> lanes;
 
     // Worker-private state (no locking: one consumer per shard).
     std::vector<uint64_t> owned;  ///< tenant ids this shard is home to
@@ -236,11 +221,11 @@ class IngestService {
     Status error;
   };
 
-  Status Admit(const IngestEvent& event, bool blocking);
   void WorkerLoop(size_t shard_index);
   /// Plays full rounds for one lane; rehydrates its tenant first if
-  /// needed. Returns false (and records the shard error) on failure.
-  bool DrainLane(Shard& shard, uint64_t tenant_id, TenantLane& lane);
+  /// needed. Records the shard error and drops the lane's pending reports
+  /// on failure.
+  void DrainLane(Shard& shard, uint64_t tenant_id, TenantLane& lane);
   /// Hibernates least-recently-active resident tenants of this shard
   /// until it is back under max_resident_per_shard.
   void EnforceResidency(Shard& shard);
@@ -248,6 +233,8 @@ class IngestService {
   IngestConfig config_;
   SessionFleet* fleet_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// One lane per fleet tenant, indexed by tenant id; rebuilt at Start().
+  std::vector<TenantLane> lanes_;
   bool started_ = false;
   std::atomic<bool> stopping_{false};
   Status stop_status_;

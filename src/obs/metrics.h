@@ -45,9 +45,7 @@ namespace itrim::obs {
   X(kIngestEventsRejected, "ingest_events_rejected",                           \
     "Wire events rejected before enqueue (bad frame, unknown tenant, stop)")   \
   X(kIngestReportsEnqueued, "ingest_reports_enqueued",                         \
-    "Reports admitted into tenant lanes after rate limiting")                  \
-  X(kIngestReportsShed, "ingest_reports_shed",                                 \
-    "Reports dropped by the per-tenant token-bucket rate limiter")             \
+    "Reports carried by admitted wire events")                                 \
   X(kIngestRoundsPlayed, "ingest_rounds_played",                               \
     "Game rounds stepped by ingest workers")                                   \
   X(kIngestHibernations, "ingest_hibernations",                                \

@@ -21,8 +21,6 @@ const char* TraceKindName(TraceKind kind) {
       return "rehydrate";
     case TraceKind::kBackpressureBlock:
       return "backpressure_block";
-    case TraceKind::kRateLimitShed:
-      return "rate_limit_shed";
     case TraceKind::kNumKinds:
       break;
   }

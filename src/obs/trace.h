@@ -29,7 +29,6 @@ namespace itrim::obs {
 //   kHibernate         rounds the tenant had played when parked
 //   kRehydrate         rounds the tenant had played when restored
 //   kBackpressureBlock capacity of the full shard queue
-//   kRateLimitShed     reports shed by the rate limiter in this arrival
 enum class TraceKind : uint8_t {
   kRoundStart = 0,
   kRoundEnd,
@@ -38,7 +37,6 @@ enum class TraceKind : uint8_t {
   kHibernate,
   kRehydrate,
   kBackpressureBlock,
-  kRateLimitShed,
   kNumKinds,
 };
 

@@ -30,31 +30,32 @@ void ExpectQuantilesBitIdentical(const FleetQuantiles& a,
   EXPECT_TRUE(BitEqual(a.p90, b.p90));
 }
 
+void ExpectAggregatesBitIdentical(const std::vector<FleetRoundAggregate>& a,
+                                  const std::vector<FleetRoundAggregate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("aggregate round " + std::to_string(i));
+    EXPECT_EQ(a[i].round, b[i].round);
+    EXPECT_EQ(a[i].tenants, b[i].tenants);
+    EXPECT_EQ(a[i].benign_received, b[i].benign_received);
+    EXPECT_EQ(a[i].poison_received, b[i].poison_received);
+    EXPECT_EQ(a[i].benign_kept, b[i].benign_kept);
+    EXPECT_EQ(a[i].poison_kept, b[i].poison_kept);
+    EXPECT_TRUE(BitEqual(a[i].trim_rate, b[i].trim_rate));
+    EXPECT_TRUE(BitEqual(a[i].poison_acceptance, b[i].poison_acceptance));
+    ExpectQuantilesBitIdentical(a[i].tenant_trim_rate, b[i].tenant_trim_rate);
+    ExpectQuantilesBitIdentical(a[i].tenant_poison_acceptance,
+                                b[i].tenant_poison_acceptance);
+    ExpectQuantilesBitIdentical(a[i].tenant_quality, b[i].tenant_quality);
+  }
+}
+
 void ExpectFleetSummaryBitIdentical(const FleetSummary& a,
                                     const FleetSummary& b) {
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
   for (size_t i = 0; i < a.tenants.size(); ++i) {
     SCOPED_TRACE("tenant " + std::to_string(i));
     ExpectSummaryBitIdentical(a.tenants[i], b.tenants[i]);
-  }
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (size_t i = 0; i < a.rounds.size(); ++i) {
-    SCOPED_TRACE("aggregate round " + std::to_string(i));
-    EXPECT_EQ(a.rounds[i].round, b.rounds[i].round);
-    EXPECT_EQ(a.rounds[i].tenants, b.rounds[i].tenants);
-    EXPECT_EQ(a.rounds[i].benign_received, b.rounds[i].benign_received);
-    EXPECT_EQ(a.rounds[i].poison_received, b.rounds[i].poison_received);
-    EXPECT_EQ(a.rounds[i].benign_kept, b.rounds[i].benign_kept);
-    EXPECT_EQ(a.rounds[i].poison_kept, b.rounds[i].poison_kept);
-    EXPECT_TRUE(BitEqual(a.rounds[i].trim_rate, b.rounds[i].trim_rate));
-    EXPECT_TRUE(BitEqual(a.rounds[i].poison_acceptance,
-                         b.rounds[i].poison_acceptance));
-    ExpectQuantilesBitIdentical(a.rounds[i].tenant_trim_rate,
-                                b.rounds[i].tenant_trim_rate);
-    ExpectQuantilesBitIdentical(a.rounds[i].tenant_poison_acceptance,
-                                b.rounds[i].tenant_poison_acceptance);
-    ExpectQuantilesBitIdentical(a.rounds[i].tenant_quality,
-                                b.rounds[i].tenant_quality);
   }
   ExpectQuantilesBitIdentical(a.untrimmed_poison_fraction,
                               b.untrimmed_poison_fraction);
@@ -63,6 +64,31 @@ void ExpectFleetSummaryBitIdentical(const FleetSummary& a,
   EXPECT_EQ(a.total_received, b.total_received);
   EXPECT_EQ(a.total_kept, b.total_kept);
   EXPECT_EQ(a.total_poison_kept, b.total_poison_kept);
+}
+
+// Steps a bootstrapped fleet `rounds` times, appending each aggregate
+// StepRound returns to `aggregates`.
+void StepRounds(SessionFleet* fleet, int rounds,
+                std::vector<FleetRoundAggregate>* aggregates) {
+  for (int r = 0; r < rounds; ++r) {
+    Result<FleetRoundAggregate> aggregate = fleet->StepRound();
+    ASSERT_TRUE(aggregate.ok()) << aggregate.status().ToString();
+    aggregates->push_back(*aggregate);
+  }
+}
+
+// A whole lockstep run: Bootstrap, config().rounds StepRounds, Finish.
+struct FleetRun {
+  std::vector<FleetRoundAggregate> aggregates;  ///< as StepRound returned
+  FleetSummary summary;
+};
+
+FleetRun RunFleet(SessionFleet* fleet) {
+  FleetRun run;
+  EXPECT_TRUE(fleet->Bootstrap().ok());
+  StepRounds(fleet, fleet->config().rounds, &run.aggregates);
+  run.summary = fleet->Finish();
+  return run;
 }
 
 // Shared data sources + per-tenant LDP attacks for heterogeneous fleets.
@@ -137,15 +163,13 @@ TEST_F(SessionFleetTest, OneVsManyThreadsBitIdentical) {
     config.shard_size = shard_size;
     config.seed = 77;
     SessionFleet fleet(config, HeterogeneousSpecs(24));
-    return fleet.RunToCompletion().ValueOrDie();
+    return RunFleet(&fleet);
   };
-  FleetSummary serial = run(1, 0);
-  FleetSummary parallel = run(4, 0);
-  FleetSummary tiny_shards = run(3, 1);
-  FleetSummary one_shard = run(4, 1000);
-  ExpectFleetSummaryBitIdentical(serial, parallel);
-  ExpectFleetSummaryBitIdentical(serial, tiny_shards);
-  ExpectFleetSummaryBitIdentical(serial, one_shard);
+  const FleetRun serial = run(1, 0);
+  for (const FleetRun& other : {run(4, 0), run(3, 1), run(4, 1000)}) {
+    ExpectFleetSummaryBitIdentical(serial.summary, other.summary);
+    ExpectAggregatesBitIdentical(serial.aggregates, other.aggregates);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -160,13 +184,14 @@ TEST_F(SessionFleetTest, CheckpointRestoreResumesBitIdentically) {
 
   // Reference: uninterrupted run.
   SessionFleet reference(config, HeterogeneousSpecs(12));
-  FleetSummary full = reference.RunToCompletion().ValueOrDie();
+  const FleetRun full = RunFleet(&reference);
 
   // Interrupted run: 4 rounds, checkpoint mid-stream, restore into a
   // fresh fleet, 6 more rounds.
+  std::vector<FleetRoundAggregate> aggregates;
   SessionFleet first(config, HeterogeneousSpecs(12));
   ASSERT_TRUE(first.Bootstrap().ok());
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(first.StepRound().ok());
+  StepRounds(&first, 4, &aggregates);
   FleetCheckpoint checkpoint = first.Checkpoint().ValueOrDie();
   EXPECT_EQ(checkpoint.next_round, 5);
   ASSERT_EQ(checkpoint.sessions.size(), 12u);
@@ -174,17 +199,19 @@ TEST_F(SessionFleetTest, CheckpointRestoreResumesBitIdentically) {
   SessionFleet resumed(config, HeterogeneousSpecs(12));
   ASSERT_TRUE(resumed.Restore(checkpoint).ok());
   EXPECT_EQ(resumed.next_round(), 5);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(resumed.StepRound().ok());
+  StepRounds(&resumed, 6, &aggregates);
 
-  // Everything matches: per-tenant books, and the aggregates the restored
-  // fleet rebuilt for rounds it never itself played.
-  ExpectFleetSummaryBitIdentical(full, resumed.Finish());
+  // Everything matches: per-tenant books, including the rounds the
+  // restored fleet never itself played, and the first fleet's aggregates
+  // followed by the resumed fleet's.
+  ExpectFleetSummaryBitIdentical(full.summary, resumed.Finish());
+  ExpectAggregatesBitIdentical(full.aggregates, aggregates);
 }
 
 // A checkpoint whose round counter disagrees with the per-session record
 // counts (hand-edited, corrupted, or non-lockstep) must be rejected, not
-// fed into the aggregate rebuild — and the rejection must leave the
-// fleet's live state untouched (all-or-nothing Restore).
+// resumed with sessions at different rounds — and the rejection must leave
+// the fleet's live state untouched (all-or-nothing Restore).
 TEST_F(SessionFleetTest, RestoreRejectsInconsistentRoundCounts) {
   FleetConfig config;
   config.rounds = 4;
@@ -244,11 +271,12 @@ TEST_F(SessionFleetTest, RejectedRestoreLeavesFleetBitIdentical) {
   FleetConfig config;
   config.rounds = 6;
   SessionFleet reference(config, HeterogeneousSpecs(6));
-  FleetSummary full = reference.RunToCompletion().ValueOrDie();
+  const FleetRun full = RunFleet(&reference);
 
+  std::vector<FleetRoundAggregate> aggregates;
   SessionFleet fleet(config, HeterogeneousSpecs(6));
   ASSERT_TRUE(fleet.Bootstrap().ok());
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(fleet.StepRound().ok());
+  StepRounds(&fleet, 3, &aggregates);
 
   // Corrupt a copy of the fleet's own checkpoint three different ways and
   // throw each at the live fleet.
@@ -266,8 +294,9 @@ TEST_F(SessionFleetTest, RejectedRestoreLeavesFleetBitIdentical) {
   // The fleet never noticed: remaining rounds play out bit-identically.
   EXPECT_TRUE(fleet.bootstrapped());
   EXPECT_EQ(fleet.next_round(), 4);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(fleet.StepRound().ok());
-  ExpectFleetSummaryBitIdentical(full, fleet.Finish());
+  StepRounds(&fleet, 3, &aggregates);
+  ExpectFleetSummaryBitIdentical(full.summary, fleet.Finish());
+  ExpectAggregatesBitIdentical(full.aggregates, aggregates);
 }
 
 // --------------------------------------------------------------------------
@@ -284,7 +313,8 @@ TEST_F(SessionFleetTest, MatchesSequentialOracleLoop) {
 
   std::vector<TenantSpec> specs = HeterogeneousSpecs(kTenants);
   SessionFleet fleet(config, specs);
-  FleetSummary summary = fleet.RunToCompletion().ValueOrDie();
+  const FleetRun run = RunFleet(&fleet);
+  const FleetSummary& summary = run.summary;
 
   // Oracle: materialize the same tenants with the same derived seeds and
   // run them one by one, entirely outside the fleet machinery.
@@ -310,10 +340,10 @@ TEST_F(SessionFleetTest, MatchesSequentialOracleLoop) {
   }
 
   // Aggregates re-derived from the oracle runs.
-  ASSERT_EQ(summary.rounds.size(), static_cast<size_t>(kRounds));
+  ASSERT_EQ(run.aggregates.size(), static_cast<size_t>(kRounds));
   size_t agg_benign_received = 0, agg_poison_received = 0;
   size_t agg_benign_kept = 0, agg_poison_kept = 0;
-  for (const FleetRoundAggregate& round : summary.rounds) {
+  for (const FleetRoundAggregate& round : run.aggregates) {
     EXPECT_EQ(round.tenants, kTenants);
     agg_benign_received += round.benign_received;
     agg_poison_received += round.poison_received;

@@ -310,5 +310,38 @@ TEST(ZeroAllocTest, SerialFleetSteadyStateStepRoundIsAllocationFree) {
   EXPECT_EQ((bench::ThreadAllocCounts() - before).allocations, 0u);
 }
 
+// StepRound past FleetConfig::rounds: the fleet keeps no per-round history,
+// so an open-ended lockstep stream allocates nothing once warm. The tenants'
+// own game.rounds stays at 200 so the sessions' record reserves still
+// cover every step measured here.
+TEST(ZeroAllocTest, SerialFleetStepRoundPastConfiguredRoundsIsAllocationFree) {
+  std::vector<double> pool;
+  Rng rng(29);
+  for (int i = 0; i < 2000; ++i) pool.push_back(rng.Uniform());
+  std::vector<TenantSpec> specs;
+  for (size_t i = 0; i < 4; ++i) {
+    TenantSpec spec;
+    spec.model = TenantModelKind::kScalar;
+    spec.scalar_pool = &pool;
+    spec.game = StreamingConfig();
+    specs.push_back(spec);
+  }
+  FleetConfig config;
+  config.rounds = 5;
+  config.threads = 1;
+  config.seed = 41;
+  SessionFleet fleet(config, std::move(specs));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+  for (int r = 0; r < kWarmupRounds; ++r) {
+    ASSERT_TRUE(fleet.StepRound().ok());
+  }
+  bench::AllocCounts before = bench::ThreadAllocCounts();
+  for (int r = 0; r < kMeasuredRounds; ++r) {
+    ASSERT_TRUE(fleet.StepRound().ok());
+  }
+  EXPECT_EQ((bench::ThreadAllocCounts() - before).allocations, 0u);
+  EXPECT_EQ(fleet.next_round(), 1 + kWarmupRounds + kMeasuredRounds);
+}
+
 }  // namespace
 }  // namespace itrim

@@ -1,14 +1,13 @@
 // IngestService unit behavior: the binary frame codec, config/lifecycle
 // guards, the bounded queue's backpressure semantics, report coalescing
-// into rounds, per-tenant token-bucket rate limiting, and the LRU
-// hibernation policy bounding the resident set.
+// into rounds, the LRU hibernation policy bounding the resident set (and
+// its exact eviction order), and restarting a stopped service.
 #include "ingest/ingest.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -163,17 +162,6 @@ TEST_F(IngestServiceTest, ValidatesConfigAndLifecycle) {
   bad.shards = -1;
   EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
   bad = IngestConfig{};
-  bad.rate_limit_per_sec = -1.0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  // NaN compares false against every bound; it must still be rejected.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  bad = IngestConfig{};
-  bad.rate_limit_per_sec = nan;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = IngestConfig{};
-  bad.rate_limit_burst = nan;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = IngestConfig{};
   bad.trace_capacity = obs::kMaxTraceCapacity;
   EXPECT_TRUE(bad.Validate().ok());
   bad.trace_capacity = obs::kMaxTraceCapacity + 1;
@@ -217,7 +205,7 @@ TEST_F(IngestServiceTest, CoalescesReportsIntoRounds) {
   ASSERT_TRUE(service.Submit({0, 25}).ok());
   ASSERT_TRUE(service.Submit({0, 25}).ok());
   ASSERT_TRUE(service.Flush().ok());
-  EXPECT_EQ(service.TrySubmit({0, 30}).code(), StatusCode::kOk);
+  ASSERT_TRUE(service.Submit({0, 30}).ok());
   // Tenant 1 rides the binary API: 40 single-report frames = one round.
   for (int i = 0; i < 40; ++i) {
     IngestEvent event;
@@ -239,7 +227,6 @@ TEST_F(IngestServiceTest, CoalescesReportsIntoRounds) {
   EXPECT_EQ(stats.events_accepted, 44u);
   EXPECT_EQ(stats.reports_enqueued, 25u + 25u + 30u + 40u + 39u);
   EXPECT_EQ(stats.rounds_played, 3u);
-  EXPECT_EQ(stats.reports_rate_limited, 0u);
   EXPECT_TRUE(service.Stop().ok());
 }
 
@@ -347,35 +334,6 @@ TEST_F(IngestServiceTest, FrameCountFuzzKeepsTheExactWorkIdentity) {
   EXPECT_TRUE(service.Stop().ok());
 }
 
-TEST_F(IngestServiceTest, TokenBucketLimitsPerTenantAdmission) {
-  FleetConfig config;
-  SessionFleet fleet(config, ScalarSpecs(2, /*round_size=*/40));
-  ASSERT_TRUE(fleet.Bootstrap().ok());
-
-  // A bucket that starts with exactly one round of burst and refills at a
-  // rate that contributes nothing within the test's lifetime: the first
-  // 40 reports are admitted, everything after is shed.
-  IngestConfig ingest;
-  ingest.shards = 1;
-  ingest.rate_limit_per_sec = 1e-12;
-  ingest.rate_limit_burst = 40.0;
-  IngestService service(ingest, &fleet);
-  ASSERT_TRUE(service.Start().ok());
-
-  ASSERT_TRUE(service.Submit({0, 40}).ok());
-  ASSERT_TRUE(service.Submit({0, 40}).ok());
-  ASSERT_TRUE(service.Submit({0, 40}).ok());
-  ASSERT_TRUE(service.Submit({1, 40}).ok());  // buckets are per-tenant
-  ASSERT_TRUE(service.Flush().ok());
-
-  EXPECT_EQ(fleet.TenantRounds(0).ValueOrDie().size(), 1u);
-  EXPECT_EQ(fleet.TenantRounds(1).ValueOrDie().size(), 1u);
-  IngestStats stats = service.Stats();
-  EXPECT_EQ(stats.reports_rate_limited, 80u);
-  EXPECT_EQ(stats.rounds_played, 2u);
-  EXPECT_TRUE(service.Stop().ok());
-}
-
 TEST_F(IngestServiceTest, HibernationBoundsTheResidentSet) {
   FleetConfig config;
   SessionFleet fleet(config, ScalarSpecs(6, /*round_size=*/40));
@@ -412,6 +370,101 @@ TEST_F(IngestServiceTest, HibernationBoundsTheResidentSet) {
   EXPECT_EQ(fleet.TenantRounds(parked).ValueOrDie().size(), 2u);
   EXPECT_LE(fleet.ResidentTenants(), 2u);
   EXPECT_TRUE(service.Stop().ok());
+}
+
+// The eviction rule, step by step: never-active tenants go first, then the
+// oldest batch stamp, ties broken by the smaller id. Flushing after every
+// Submit makes each event its own batch, so each step's stamps are known.
+TEST_F(IngestServiceTest, EvictsLeastRecentlyActiveTenantsInOrder) {
+  FleetConfig config;
+  SessionFleet fleet(config, ScalarSpecs(5, /*round_size=*/40));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+
+  IngestConfig ingest;
+  ingest.shards = 1;
+  ingest.max_resident_per_shard = 2;
+  IngestService service(ingest, &fleet);
+  ASSERT_TRUE(service.Start().ok());
+
+  auto resident = [&fleet] {
+    std::vector<size_t> ids;
+    for (size_t i = 0; i < fleet.num_tenants(); ++i) {
+      if (fleet.TenantResident(i)) ids.push_back(i);
+    }
+    return ids;
+  };
+  using Ids = std::vector<size_t>;
+  // Residency is only enforced after a batch: Start evicts nobody.
+  EXPECT_EQ(resident(), (Ids{0, 1, 2, 3, 4}));
+
+  struct Step {
+    IngestEvent event;
+    Ids resident_after;
+  };
+  const Step steps[] = {
+      // 0, 1, 2 and 4 never saw traffic; the smaller ids go first.
+      {{3, 40}, {3, 4}},
+      // 0 rehydrates; never-active 4 is evicted before 3.
+      {{0, 40}, {0, 3}},
+      // 4 rehydrates; 3 holds the oldest stamp.
+      {{4, 40}, {0, 4}},
+      // One report completes no round, so 1 stays hibernated.
+      {{1, 1}, {0, 4}},
+      // 1 rehydrates; 0 holds the oldest stamp.
+      {{1, 39}, {1, 4}},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE("after {" + std::to_string(step.event.tenant_id) + "," +
+                 std::to_string(step.event.reports) + "}");
+    ASSERT_TRUE(service.Submit(step.event).ok());
+    ASSERT_TRUE(service.Flush().ok());
+    EXPECT_EQ(resident(), step.resident_after);
+  }
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+// Stop() then Start() on the same service: counters accumulate across the
+// two runs, and each lane's unplayed remainder is dropped when Start()
+// rebuilds the lanes. Each tenant gets 79 reports in run 1 (one round, 39
+// dropped) and 41 in run 2 (one round, 1 left pending): 2 rounds each,
+// where carrying the remainder would have made 3.
+TEST_F(IngestServiceTest, RestartDropsUnplayedRemainders) {
+  const size_t kTenants = 6;
+  FleetConfig config;
+  SessionFleet fleet(config, ScalarSpecs(kTenants, /*round_size=*/40));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+
+  IngestConfig ingest;
+  ingest.shards = 2;
+  ingest.max_resident_per_shard = 1;
+  IngestService service(ingest, &fleet);
+
+  ASSERT_TRUE(service.Start().ok());
+  for (uint64_t t = 0; t < kTenants; ++t) {
+    ASSERT_TRUE(service.Submit({t, 79}).ok());
+  }
+  ASSERT_TRUE(service.Stop().ok());
+  IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.events_accepted, kTenants);
+  EXPECT_EQ(stats.reports_enqueued, kTenants * 79);
+  EXPECT_EQ(stats.rounds_played, kTenants);
+  EXPECT_EQ(stats.resident_tenants, 2u);
+  EXPECT_EQ(fleet.ResidentTenants(), 2u);
+
+  ASSERT_TRUE(service.Start().ok());
+  for (uint64_t t = 0; t < kTenants; ++t) {
+    ASSERT_TRUE(service.Submit({t, 41}).ok());
+  }
+  ASSERT_TRUE(service.Stop().ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.events_accepted, 2 * kTenants);
+  EXPECT_EQ(stats.reports_enqueued, 720u);
+  EXPECT_EQ(stats.rounds_played, 2 * kTenants);  // 480 reports played
+  EXPECT_EQ(stats.resident_tenants, 2u);
+  EXPECT_EQ(fleet.ResidentTenants(), 2u);
+  for (size_t t = 0; t < kTenants; ++t) {
+    EXPECT_EQ(fleet.TenantRounds(t).ValueOrDie().size(), 2u) << "tenant " << t;
+  }
 }
 
 TEST_F(IngestServiceTest, StopDrainsPendingEvents) {

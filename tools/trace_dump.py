@@ -11,11 +11,11 @@ snapshot (IngestService::TraceSnapshot() or examples/obs_quickstart) as
 This tool groups the events by tenant and folds round_start/round_end
 pairs into one timeline row per round, annotated with the decisions that
 happened inside it (trim_decision, reference_refit) and the lifecycle
-events between rounds (hibernate, rehydrate, backpressure_block,
-rate_limit_shed). It doubles as the trace-schema regression fixture: CI
-runs `--selftest`, which renders an embedded dump and compares against
-the expected timeline, so a schema change in the C++ exporter that would
-break consumers fails the build instead of their dashboards.
+events between rounds (hibernate, rehydrate, backpressure_block). It
+doubles as the trace-schema regression fixture: CI runs `--selftest`,
+which renders an embedded dump and compares against the expected
+timeline, so a schema change in the C++ exporter that would break
+consumers fails the build instead of their dashboards.
 
 Usage:
   trace_dump.py TRACES.json            # all tenants
@@ -33,8 +33,7 @@ import sys
 
 ROUND_BOUNDS = {"round_start", "round_end"}
 IN_ROUND = {"trim_decision", "reference_refit"}
-LIFECYCLE = {"hibernate", "rehydrate", "backpressure_block",
-             "rate_limit_shed"}
+LIFECYCLE = {"hibernate", "rehydrate", "backpressure_block"}
 KNOWN_KINDS = ROUND_BOUNDS | IN_ROUND | LIFECYCLE
 
 
@@ -112,8 +111,7 @@ def render(dump, tenant_filter=None, out=sys.stdout):
             else:  # lifecycle
                 detail = {"hibernate": "parked_rounds",
                           "rehydrate": "restored_rounds",
-                          "backpressure_block": "queue_capacity",
-                          "rate_limit_shed": "shed_reports"}[kind]
+                          "backpressure_block": "queue_capacity"}[kind]
                 print(f"  [{ms:10.3f} ms] {kind} {detail}={value:.0f}",
                       file=out)
         if open_round is not None:
