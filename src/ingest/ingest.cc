@@ -146,6 +146,10 @@ Status IngestService::Start() {
   registry_->SetInfo("kernel",
                      kernels::VariantName(kernels::ActiveVariant()));
   registry_->SetInfo("shards", std::to_string(shard_count));
+  // A restart drops the previous run's sub-round remainders.
+  uint64_t remainders = 0;
+  for (const TenantLane& lane : lanes_) remainders += lane.pending;
+  service_slot_->Inc(obs::Counter::kIngestReportsDropped, remainders);
   // Home assignment and lanes before any worker runs: every tenant
   // belongs to exactly one shard, so per-tenant event order is total and
   // tenant state is never touched by two threads.
@@ -252,7 +256,9 @@ void IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
       if (!status.ok()) {
         std::lock_guard<std::mutex> lock(shard.error_mu);
         if (shard.error.ok()) shard.error = status;
-        lane.pending = 0;  // drop; retrying every batch would spin
+        // Drop the backlog; retrying every batch would spin.
+        shard.slot->Inc(obs::Counter::kIngestReportsDropped, lane.pending);
+        lane.pending = 0;
         return;
       }
       shard.slot->Inc(obs::Counter::kIngestRehydrations);
@@ -272,6 +278,7 @@ void IngestService::DrainLane(Shard& shard, uint64_t tenant_id,
     if (!record.ok()) {
       std::lock_guard<std::mutex> lock(shard.error_mu);
       if (shard.error.ok()) shard.error = record.status();
+      shard.slot->Inc(obs::Counter::kIngestReportsDropped, lane.pending);
       lane.pending = 0;
       return;
     }
@@ -406,12 +413,15 @@ IngestStats IngestService::Stats() const {
   IngestStats stats;
   stats.events_rejected =
       service_slot_->Get(obs::Counter::kIngestEventsRejected);
+  stats.reports_dropped =
+      service_slot_->Get(obs::Counter::kIngestReportsDropped);
   int64_t resident = resident_base_;
   for (const auto& shard : shards_) {
     const obs::MetricSlot& slot = *shard->slot;
     stats.events_accepted += slot.Get(obs::Counter::kIngestEventsAccepted);
     stats.reports_enqueued += slot.Get(obs::Counter::kIngestReportsEnqueued);
     stats.rounds_played += slot.Get(obs::Counter::kIngestRoundsPlayed);
+    stats.reports_dropped += slot.Get(obs::Counter::kIngestReportsDropped);
     // Rehydrations first: every rehydration is preceded by its
     // hibernation on the same shard, so this read order keeps
     // hibernations >= rehydrations even while the worker is flipping

@@ -105,6 +105,11 @@ struct IngestStats {
   uint64_t events_rejected = 0;   ///< bad event / stopped service
   uint64_t reports_enqueued = 0;  ///< reports carried by accepted events
   uint64_t rounds_played = 0;     ///< StepTenant calls across all shards
+  /// Admitted reports discarded unplayed: each tenant's sub-round remainder
+  /// when Start() restarts the service, and a lane's backlog when its
+  /// rehydration or round fails. What is still pending is
+  /// reports_enqueued - rounds_played * round_size - reports_dropped.
+  uint64_t reports_dropped = 0;
   uint64_t hibernations = 0;
   uint64_t rehydrations = 0;
   size_t resident_tenants = 0;    ///< live sessions in the backing fleet
@@ -135,7 +140,8 @@ class IngestService {
   /// stepping, builds one empty lane per tenant and spawns the shard
   /// workers. A service may be started again after Stop(); the counters
   /// carry over, but each tenant's unplayed remainder (fewer than
-  /// `round_size` reports) from the previous run is dropped.
+  /// `round_size` reports) from the previous run is dropped and counted in
+  /// IngestStats::reports_dropped.
   Status Start();
 
   /// \brief Enqueues an event on its tenant's shard, blocking while that

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
 
 #include "game/kernels.h"
 #include "obs/metrics.h"
@@ -81,33 +82,30 @@ double LinearModel::Predict(std::span<const double> x) const {
   return kernels::LaneDot(weights.data(), x.data(), weights.size()) + bias;
 }
 
-Status LinearRegressor::FitClosedForm(std::span<const double> xs,
-                                      std::span<const double> ys, size_t dims,
-                                      LinearModel* out) {
-  if (dims == 0) return Status::InvalidArgument("FitClosedForm: dims == 0");
-  const size_t n = ys.size();
-  if (n == 0) return Status::InvalidArgument("FitClosedForm: no rows");
-  if (xs.size() != n * dims) {
-    return Status::InvalidArgument(
-        "FitClosedForm: xs must hold ys.size() * dims doubles");
-  }
-
+template <typename RowAt>
+Status LinearRegressor::SolveNormalEquations(size_t n, size_t dims,
+                                             RowAt row_at, LinearModel* out) {
   // Normal equations over the augmented design [x, 1]: one sequential
   // accumulation pass (no kernels, no reassociation — the fit is the same
-  // bits on every thread count and kernel variant).
+  // bits on every thread count and kernel variant). The augmented 1.0
+  // column is peeled out of the cell loop: a product with 1.0 is exact, so
+  // adding x_i, y or 1.0 itself gives every cell the bits of x_i * 1.0.
   const size_t aug = dims + 1;
   normal_.assign(aug * aug, 0.0);
   rhs_.assign(aug, 0.0);
+  double* normal = normal_.data();
+  double* rhs = rhs_.data();
   for (size_t r = 0; r < n; ++r) {
-    const double* x = xs.data() + r * dims;
-    for (size_t i = 0; i < aug; ++i) {
-      const double xi = i < dims ? x[i] : 1.0;
-      for (size_t j = i; j < aug; ++j) {
-        const double xj = j < dims ? x[j] : 1.0;
-        normal_[i * aug + j] += xi * xj;
-      }
-      rhs_[i] += xi * ys[r];
+    const auto [x, y] = row_at(r);
+    for (size_t i = 0; i < dims; ++i) {
+      const double xi = x[i];
+      double* cells = normal + i * aug;
+      for (size_t j = i; j < dims; ++j) cells[j] += xi * x[j];
+      cells[dims] += xi;
+      rhs[i] += xi * y;
     }
+    normal[dims * aug + dims] += 1.0;
+    rhs[dims] += y;
   }
   // Mirror the upper triangle (the accumulation filled i <= j).
   for (size_t i = 0; i < aug; ++i) {
@@ -158,6 +156,48 @@ Status LinearRegressor::FitClosedForm(std::span<const double> xs,
   std::copy(solution, solution + dims, out->weights.begin());
   out->bias = solution[dims];
   return Status::OK();
+}
+
+Status LinearRegressor::FitClosedForm(std::span<const double> xs,
+                                      std::span<const double> ys, size_t dims,
+                                      LinearModel* out) {
+  if (dims == 0) return Status::InvalidArgument("FitClosedForm: dims == 0");
+  const size_t n = ys.size();
+  if (n == 0) return Status::InvalidArgument("FitClosedForm: no rows");
+  if (xs.size() != n * dims) {
+    return Status::InvalidArgument(
+        "FitClosedForm: xs must hold ys.size() * dims doubles");
+  }
+  return SolveNormalEquations(
+      n, dims,
+      [&](size_t r) {
+        return std::pair<const double*, double>(xs.data() + r * dims, ys[r]);
+      },
+      out);
+}
+
+Status LinearRegressor::FitRowsInPlace(std::span<const double> obs,
+                                       size_t width,
+                                       std::span<const size_t> rows,
+                                       LinearModel* out) {
+  if (width < 2) {
+    return Status::InvalidArgument("FitRowsInPlace: width must be >= 2");
+  }
+  if (rows.empty()) return Status::InvalidArgument("FitRowsInPlace: no rows");
+  const size_t obs_rows = obs.size() / width;
+  if (obs.size() != obs_rows * width ||
+      *std::max_element(rows.begin(), rows.end()) >= obs_rows) {
+    return Status::InvalidArgument(
+        "FitRowsInPlace: rows must name whole rows of obs");
+  }
+  const size_t dims = width - 1;
+  return SolveNormalEquations(
+      rows.size(), dims,
+      [&](size_t r) {
+        const double* row = obs.data() + rows[r] * width;
+        return std::pair<const double*, double>(row, row[dims]);
+      },
+      out);
 }
 
 Status LinearRegressor::FitMiniBatchSgd(std::span<const double> xs,

@@ -71,6 +71,15 @@ class LinearRegressor {
   Status FitClosedForm(std::span<const double> xs, std::span<const double> ys,
                        size_t dims, LinearModel* out);
 
+  /// \brief The same fit over rows of a flat [x_0..x_{dims-1}, y]
+  /// observation block (`width` = dims + 1 doubles per row), read in place
+  /// in the order `rows` names them (an index may repeat). Bit-identical to
+  /// gathering those rows into xs/ys and calling FitClosedForm, singular
+  /// Status included. InvalidArgument unless width >= 2, `rows` is
+  /// non-empty and every index names a whole row of `obs`.
+  Status FitRowsInPlace(std::span<const double> obs, size_t width,
+                        std::span<const size_t> rows, LinearModel* out);
+
   /// \brief Mini-batch SGD fit; deterministic under `rng` (the epoch
   /// shuffles are the only draws).
   Status FitMiniBatchSgd(std::span<const double> xs,
@@ -79,6 +88,13 @@ class LinearRegressor {
                          LinearModel* out);
 
  private:
+  /// Accumulates the normal equations of `n` rows, row r being
+  /// `row_at(r)` = {pointer to its dims features, its response}, and solves
+  /// them into `out`: the one body behind both closed-form entries.
+  template <typename RowAt>
+  Status SolveNormalEquations(size_t n, size_t dims, RowAt row_at,
+                              LinearModel* out);
+
   // Augmented-design scratch for the closed form: (dims+1)^2 normal matrix
   // plus right-hand side, and the SGD index permutation / gradient buffer.
   std::vector<double> normal_;    ///< (dims+1) x (dims+1), row-major

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "game/kernels.h"
 
@@ -57,10 +56,11 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   ITRIM_RETURN_NOT_OK(
       regressor_.FitClosedForm(fit_xs, fit_ys, dims, &reference_));
 
-  // Source rows are scored on first draw; the bootstrap sample is the
-  // first set of draws, recorded to the board in draw order.
-  source_scores_.assign(n_source, std::numeric_limits<double>::quiet_NaN());
-  for (size_t idx : sample) board->RecordOne(SourceScore(idx));
+  // The sample's residuals go to the board in draw order.
+  for (size_t idx : sample) {
+    board->RecordOne(AbsResidual(source_->xs.data() + idx * dims, dims,
+                                 source_->ys[idx]));
+  }
 
   // Highest-leverage source row (max feature distance to the mean, lowest
   // index on ties): only the leverage poison shape reads it.
@@ -82,16 +82,6 @@ Status ResidualScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
     }
   }
   return Status::OK();
-}
-
-double ResidualScoreModel::SourceScore(size_t idx) {
-  double& score = source_scores_[idx];
-  if (std::isnan(score)) {
-    const size_t dims = source_->dims;
-    score = AbsResidual(source_->xs.data() + idx * dims, dims,
-                        source_->ys[idx]);
-  }
-  return score;
 }
 
 double ResidualScoreModel::AbsResidual(const double* x, size_t dims,
@@ -126,10 +116,11 @@ void ResidualScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
     // Rows are always materialized: observations() must expose the round
     // for model-in-the-loop trim references regardless of retention.
     const double* x = source_->xs.data() + idx * dims;
+    const double y = source_->ys[idx];
     std::span<double> slot = NextRowSlot();
     std::copy(x, x + dims, slot.begin());
-    slot[dims] = source_->ys[idx];
-    scores_.push_back(SourceScore(idx));
+    slot[dims] = y;
+    scores_.push_back(AbsResidual(x, dims, y));
     is_poison_.push_back(0);
   }
 }
@@ -161,7 +152,7 @@ Status ResidualScoreModel::AppendPoison(double position, Rng* rng,
   std::copy(x, x + dims, slot.begin());
   slot[dims] = reference_.Predict({x, dims}) + sign * magnitude;
   // Score through the scalar definition — the same LaneDot evaluation as
-  // the cached source scores and the batched kernel.
+  // the benign rows and the batched kernel.
   scores_.push_back(ScoreObservation(slot));
   is_poison_.push_back(1);
   return Status::OK();

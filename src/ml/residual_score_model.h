@@ -55,9 +55,11 @@ const char* PoisonShapeName(PoisonShape shape);
 /// `source` is borrowed, immutable and typically shared by many tenants;
 /// the model reads it in place and never copies it. Benign arrivals sample
 /// its rows with replacement: each draw copies one [x..., y] row into the
-/// round pool, and a source row is scored on its first draw (bootstrap
-/// sample or round), so a bootstrap or rehydration costs the fit and the
-/// sample's scores, not a sweep of the whole source.
+/// round pool and is scored on arrival (one LaneDot over the features), so
+/// a bootstrap or rehydration costs the fit and the sample's scores, and
+/// the model keeps no per-source-row state. A first-draw score cache like
+/// DistanceScoreModel's would save that LaneDot, but across many tenants
+/// its lookups miss the cache and cost more than the score.
 class ResidualScoreModel : public ScoreModel {
  public:
   explicit ResidualScoreModel(const RegressionData* source,
@@ -103,10 +105,9 @@ class ResidualScoreModel : public ScoreModel {
  private:
   /// Next reusable [x..., y] slot in the flat round pool (grow-only).
   std::span<double> NextRowSlot();
-  /// |residual| of source row `idx` against the reference fit, computed on
-  /// the row's first draw and cached in source_scores_.
-  double SourceScore(size_t idx);
-  /// |y - yhat| of one observation against the reference fit.
+  /// |y - yhat| of one observation against the reference fit: the scalar
+  /// definition that the batched AbsResidualsToModel kernel matches bit for
+  /// bit.
   double AbsResidual(const double* x, size_t dims, double y) const;
 
   const RegressionData* source_;
@@ -114,14 +115,6 @@ class ResidualScoreModel : public ScoreModel {
   size_t width_ = 0;  ///< dims + 1, fixed by BeginRun()
   LinearRegressor regressor_;
   LinearModel reference_;
-  /// |y - (LaneDot(w, x) + bias)| of each source row, filled on the row's
-  /// first draw: Bootstrap() sizes it NaN-filled (NaN means not yet
-  /// scored) and SourceScore() scores a NaN entry in place. Benign arrivals
-  /// are source rows sampled with replacement, so a warm row's score is a
-  /// table lookup. The doubles are the scalar definition that the batched
-  /// AbsResidualsToModel kernel matches bit for bit, so they equal scoring
-  /// on arrival; a row whose true score is NaN just recomputes it.
-  std::vector<double> source_scores_;
   /// argmax feature distance to the source mean (lowest index on ties);
   /// computed by Bootstrap() only under PoisonShape::kLeverage.
   size_t leverage_row_ = 0;

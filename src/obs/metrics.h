@@ -56,6 +56,8 @@ namespace itrim::obs {
     "Blocking Submit calls that found their shard queue full")                 \
   X(kIngestBatchesPopped, "ingest_batches_popped",                             \
     "PopBatch calls that returned at least one event")                         \
+  X(kIngestReportsDropped, "ingest_reports_dropped",                           \
+    "Admitted reports discarded unplayed (restart remainders, failed rounds)") \
   X(kSessionRoundsPlayed, "session_rounds_played",                             \
     "Rounds committed by instrumented trimming sessions")                      \
   X(kSessionBenignReceived, "session_benign_received",                         \

@@ -1,8 +1,9 @@
 // ReferencePolicy seam: the explicit PercentileReference is the default
 // (bit for bit), the round-mass policy is TrimTopFraction on the round's
 // scores, the fitted-model policy validates its model, its trim keeps
-// exactly the budgeted lowest-residual rows, and its radix ordering
-// reproduces the comparator-sort refit loop it replaced bit for bit.
+// exactly the budgeted lowest-residual rows, and its bucket ordering and
+// in-place fits reproduce the comparator-sort, gather-and-fit refit loop
+// bit for bit.
 #include "game/reference_policy.h"
 
 #include <gtest/gtest.h>
@@ -195,8 +196,9 @@ TEST(ReferencePolicyTest, FittedModelTrimKeepsBudgetedLowestResidualRows) {
 
 // ---------------------------------------------------------------------------
 // Seed replica of FittedModelReference::TrimRound: the refit loop as first
-// written, ordering rows with a comparator std::sort over indices. The
-// policy's radix ordering must reproduce it bit for bit.
+// written, ordering rows with a comparator std::sort over indices and
+// fitting gathered copies of the kept rows. The policy must reproduce it
+// bit for bit.
 
 void SeedGatherSelected(std::span<const double> obs, size_t width,
                         const size_t* selected, size_t count,
@@ -537,7 +539,7 @@ void CheckNonFiniteResiduals() {
   EXPECT_TRUE(probe.nonfinite_cutoff);
 }
 
-// The radix ordering against the comparator-sort replica: the kept mask,
+// The policy against the comparator-sort replica: the kept mask,
 // counts, cutoff bits and refit count match on paper-shaped rounds, on
 // duplicate rows and on NaN/+inf residuals, at the default options, at
 // tol = 0 and at max_refits = 1.

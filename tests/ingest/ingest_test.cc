@@ -448,10 +448,12 @@ TEST_F(IngestServiceTest, RestartDropsUnplayedRemainders) {
   EXPECT_EQ(stats.events_accepted, kTenants);
   EXPECT_EQ(stats.reports_enqueued, kTenants * 79);
   EXPECT_EQ(stats.rounds_played, kTenants);
+  EXPECT_EQ(stats.reports_dropped, 0u);  // the 39-report remainders pend
   EXPECT_EQ(stats.resident_tenants, 2u);
   EXPECT_EQ(fleet.ResidentTenants(), 2u);
 
   ASSERT_TRUE(service.Start().ok());
+  EXPECT_EQ(service.Stats().reports_dropped, kTenants * 39);
   for (uint64_t t = 0; t < kTenants; ++t) {
     ASSERT_TRUE(service.Submit({t, 41}).ok());
   }
@@ -460,6 +462,11 @@ TEST_F(IngestServiceTest, RestartDropsUnplayedRemainders) {
   EXPECT_EQ(stats.events_accepted, 2 * kTenants);
   EXPECT_EQ(stats.reports_enqueued, 720u);
   EXPECT_EQ(stats.rounds_played, 2 * kTenants);  // 480 reports played
+  EXPECT_EQ(stats.reports_dropped, 234u);  // the restart's remainders
+  // One report per tenant still pends: 720 - 480 - 234.
+  EXPECT_EQ(stats.reports_enqueued - stats.rounds_played * 40 -
+                stats.reports_dropped,
+            6u);
   EXPECT_EQ(stats.resident_tenants, 2u);
   EXPECT_EQ(fleet.ResidentTenants(), 2u);
   for (size_t t = 0; t < kTenants; ++t) {

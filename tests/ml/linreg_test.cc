@@ -1,4 +1,5 @@
-// Linear-regression substrate: closed-form exactness, SGD determinism,
+// Linear-regression substrate: closed-form exactness, the in-place fit's
+// bit identity with the gathered closed form, SGD determinism,
 // the flip-and-shift attack shape, and the golden 1-D refit-loop oracle of
 // the Trim defense.
 #include "ml/linreg.h"
@@ -7,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -65,6 +67,97 @@ TEST(LinearRegressorTest, ClosedFormRejectsBadShapesAndSingularSystems) {
   const std::vector<double> any_y = {1.0, 2.0, 3.0, 4.0};
   EXPECT_EQ(regressor.FitClosedForm(const_x, any_y, 1, &fit).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// Gathers the rows named by `rows` out of a flat [x..., y] block into
+// separate fit buffers: the copy FitRowsInPlace replaces.
+void GatherRows(const std::vector<double>& obs, size_t width,
+                const std::vector<size_t>& rows, std::vector<double>* xs,
+                std::vector<double>* ys) {
+  const size_t dims = width - 1;
+  xs->clear();
+  ys->clear();
+  for (size_t r : rows) {
+    const double* row = obs.data() + r * width;
+    xs->insert(xs->end(), row, row + dims);
+    ys->push_back(row[dims]);
+  }
+}
+
+// FitRowsInPlace against gather + FitClosedForm: the same status (code and
+// message), weights and bias bits, over random selections with repeats
+// (rows drawn with replacement), selections too small to fit and a
+// selection of one repeated row, which leave the system singular. One warm
+// regressor per side, as in the refit loop.
+TEST(LinearRegressorTest, InPlaceFitMatchesGatheredClosedFormBitForBit) {
+  for (size_t dims : {1u, 3u, 8u}) {
+    SCOPED_TRACE("dims=" + std::to_string(dims));
+    const size_t width = dims + 1;
+    const size_t n = 120;
+    const RegressionData data = MakeSyntheticRegression(n, dims, 0.3, dims);
+    std::vector<double> obs;
+    for (size_t r = 0; r < n; ++r) {
+      obs.insert(obs.end(), data.xs.begin() + r * dims,
+                 data.xs.begin() + (r + 1) * dims);
+      obs.push_back(data.ys[r]);
+    }
+    LinearRegressor in_place;
+    LinearRegressor gathered;
+    Rng rng(900 + dims);
+    std::vector<double> xs;
+    std::vector<double> ys;
+    size_t singular = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      std::vector<size_t> rows;
+      if (trial % 10 == 9) {
+        rows.assign(dims + 2, static_cast<size_t>(rng.UniformInt(n)));
+      } else {
+        const size_t count =
+            trial % 10 == 8 ? dims
+                            : 1 + static_cast<size_t>(rng.UniformInt(2 * n));
+        for (size_t k = 0; k < count; ++k) {
+          rows.push_back(static_cast<size_t>(rng.UniformInt(n)));
+        }
+      }
+      GatherRows(obs, width, rows, &xs, &ys);
+      LinearModel want;
+      LinearModel got;
+      const Status want_status = gathered.FitClosedForm(xs, ys, dims, &want);
+      const Status got_status = in_place.FitRowsInPlace(obs, width, rows, &got);
+      ASSERT_EQ(got_status.code(), want_status.code());
+      EXPECT_EQ(got_status.ToString(), want_status.ToString());
+      if (!want_status.ok()) {
+        EXPECT_EQ(want_status.code(), StatusCode::kFailedPrecondition);
+        ++singular;
+        continue;
+      }
+      ASSERT_EQ(got.weights.size(), dims);
+      for (size_t j = 0; j < dims; ++j) {
+        EXPECT_TRUE(SameBits(got.weights[j], want.weights[j]))
+            << "weight " << j;
+      }
+      EXPECT_TRUE(SameBits(got.bias, want.bias));
+    }
+    EXPECT_GE(singular, 12u);  // every too-small and one-row selection
+  }
+}
+
+TEST(LinearRegressorTest, InPlaceFitRejectsBadShapes) {
+  LinearRegressor regressor;
+  LinearModel fit;
+  const std::vector<double> obs = {0.0, 1.0, 1.0, 3.0, 2.0, 5.0};
+  const std::vector<size_t> rows = {0, 1, 2};
+  ASSERT_TRUE(regressor.FitRowsInPlace(obs, 2, rows, &fit).ok());
+  EXPECT_EQ(regressor.FitRowsInPlace(obs, 1, rows, &fit).code(),
+            StatusCode::kInvalidArgument);  // no response column
+  EXPECT_EQ(regressor.FitRowsInPlace(obs, 2, {}, &fit).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(regressor.FitRowsInPlace(obs, 4, rows, &fit).code(),
+            StatusCode::kInvalidArgument);  // not whole rows
+  const std::vector<size_t> past_end = {0, 1, 3};
+  EXPECT_EQ(regressor.FitRowsInPlace(obs, 2, past_end, &fit).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LinearRegressorTest, SgdIsDeterministicUnderSeedAndConverges) {
