@@ -1,9 +1,9 @@
-// Companion experiment: poisoning LDP *frequency* oracles — the setting of
-// the EMF baseline's original paper (Du et al.) and of Cao et al.'s
+// Companion experiment: poisoning an LDP *frequency* oracle — the setting
+// of the EMF baseline's original paper (Du et al.) and of Cao et al.'s
 // maximal gain attack, which Section VII positions this work against.
 //
 // Prints the frequency gain of the MGA and of the evasive input
-// manipulation attack on GRR and OUE across privacy budgets, with and
+// manipulation attack on OUE across privacy budgets, with and
 // without the structural report trim — showing the same evasion story as
 // the mean-estimation game: blatant forgeries are easy to remove, while
 // protocol-compliant poison sails through any static check.

@@ -1,6 +1,7 @@
 #include "common/math_util.h"
 
 #include <cassert>
+#include <cmath>
 
 #include "game/kernels.h"
 
@@ -16,12 +17,6 @@ double SquaredDistance(std::span<const double> a, std::span<const double> b) {
 
 double EuclideanDistance(std::span<const double> a, std::span<const double> b) {
   return std::sqrt(SquaredDistance(a, b));
-}
-
-double Norm(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return std::sqrt(acc);
 }
 
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {
@@ -43,17 +38,6 @@ double Mean(const std::vector<double>& v) {
   return acc / static_cast<double>(v.size());
 }
 
-double Variance(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  double m = Mean(v);
-  double acc = 0.0;
-  for (double x : v) {
-    double d = x - m;
-    acc += d * d;
-  }
-  return acc / static_cast<double>(v.size());
-}
-
 std::vector<double> Centroid(const std::vector<std::vector<double>>& points) {
   if (points.empty()) return {};
   std::vector<double> c(points[0].size(), 0.0);
@@ -61,15 +45,6 @@ std::vector<double> Centroid(const std::vector<std::vector<double>>& points) {
   double inv = 1.0 / static_cast<double>(points.size());
   for (double& x : c) x *= inv;
   return c;
-}
-
-std::vector<double> Linspace(double lo, double hi, size_t n) {
-  assert(n >= 2);
-  std::vector<double> out(n);
-  double step = (hi - lo) / static_cast<double>(n - 1);
-  for (size_t i = 0; i < n; ++i) out[i] = lo + step * static_cast<double>(i);
-  out.back() = hi;
-  return out;
 }
 
 }  // namespace itrim

@@ -3,8 +3,6 @@
 #define ITRIM_COMMON_MATH_UTIL_H_
 
 #include <algorithm>
-#include <cmath>
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -15,12 +13,6 @@ inline double Clamp(double x, double lo, double hi) {
   return std::max(lo, std::min(hi, x));
 }
 
-/// \brief True iff |a - b| <= atol + rtol * max(|a|, |b|).
-inline bool AlmostEqual(double a, double b, double atol = 1e-9,
-                        double rtol = 1e-9) {
-  return std::fabs(a - b) <= atol + rtol * std::max(std::fabs(a), std::fabs(b));
-}
-
 /// \brief Squared Euclidean distance between equal-length spans, in the
 /// library's canonical fixed 4-lane association (game/kernels.h) so scalar
 /// and batched evaluations produce bit-identical doubles.
@@ -28,9 +20,6 @@ double SquaredDistance(std::span<const double> a, std::span<const double> b);
 
 /// \brief Euclidean distance between equal-length spans.
 double EuclideanDistance(std::span<const double> a, std::span<const double> b);
-
-/// \brief Euclidean norm of a vector.
-double Norm(const std::vector<double>& v);
 
 /// \brief Dot product of equal-length vectors.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
@@ -41,17 +30,11 @@ void Axpy(double scale, const std::vector<double>& b, std::vector<double>* a);
 /// \brief Arithmetic mean; 0 for an empty range.
 double Mean(const std::vector<double>& v);
 
-/// \brief Population variance; 0 for fewer than 2 elements.
-double Variance(const std::vector<double>& v);
-
 /// \brief Component-wise mean of a set of equal-length vectors.
 std::vector<double> Centroid(const std::vector<std::vector<double>>& points);
 
 /// \brief Linear interpolation between a and b at t in [0,1].
 inline double Lerp(double a, double b, double t) { return a + (b - a) * t; }
-
-/// \brief Evenly spaced values from lo to hi inclusive (n >= 2).
-std::vector<double> Linspace(double lo, double hi, size_t n);
 
 }  // namespace itrim
 

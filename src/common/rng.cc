@@ -55,12 +55,6 @@ void Rng::FillUniformInt(uint64_t n, uint64_t* out, size_t count) {
   }
 }
 
-void Rng::FillUniform(double* out, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-  }
-}
-
 double Rng::Normal() {
   if (have_cached_normal_) {
     have_cached_normal_ = false;
@@ -87,10 +81,6 @@ double Rng::Laplace(double b) {
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
-
-double Rng::Exponential(double lambda) {
-  return -std::log(1.0 - Uniform()) / lambda;
-}
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;
@@ -139,7 +129,5 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   idx.resize(k);
   return idx;
 }
-
-Rng Rng::Fork() { return Rng(NextU64() ^ 0xA3EC647659359ACDULL); }
 
 }  // namespace itrim

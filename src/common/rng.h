@@ -62,10 +62,6 @@ class Rng {
   /// the stream (the batch IS the sequence of scalar draws).
   void FillUniformInt(uint64_t n, uint64_t* out, size_t count);
 
-  /// \brief Fills out[0..count) with draws bit-identical to `count`
-  /// successive Uniform() calls.
-  void FillUniform(double* out, size_t count);
-
   /// \brief Standard normal deviate (Box–Muller, cached pair).
   double Normal();
 
@@ -77,9 +73,6 @@ class Rng {
 
   /// \brief Bernoulli trial with success probability `p`.
   bool Bernoulli(double p);
-
-  /// \brief Exponential deviate with rate `lambda`.
-  double Exponential(double lambda);
 
   /// \brief Random index drawn proportionally to non-negative `weights`.
   /// Returns weights.size() when the total weight is zero.
@@ -104,9 +97,6 @@ class Rng {
 
   /// \brief Samples `k` indices from [0, n) without replacement.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
-  /// \brief Derives an independent child generator (for parallel arms).
-  Rng Fork();
 
   /// \brief Full generator state, for checkpoint/restore of streaming
   /// sessions. Includes the Box–Muller carry so a restored stream continues

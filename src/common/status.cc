@@ -14,16 +14,10 @@ std::string_view StatusCodeName(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kNotImplemented:
-      return "NotImplemented";
     case StatusCode::kIOError:
       return "IOError";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

@@ -15,18 +15,16 @@
 
 namespace itrim {
 
-/// Machine-readable error category for `Status` and `Result<T>`.
+/// Machine-readable error category for `Status` and `Result<T>`. The
+/// values are stable; retired codes (5, 7, 9) are not reused.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument = 1,
   kOutOfRange = 2,
   kFailedPrecondition = 3,
   kNotFound = 4,
-  kAlreadyExists = 5,
   kInternal = 6,
-  kNotImplemented = 7,
   kIOError = 8,
-  kUnavailable = 9,
 };
 
 /// \brief Human-readable name of a status code (e.g. "InvalidArgument").
@@ -56,22 +54,11 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
-  }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
-  }
-  /// Transient refusal: the operation may succeed if retried later (e.g. a
-  /// bounded ingest queue is full right now).
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   /// \brief Builds a status of an existing code with a new message (e.g.

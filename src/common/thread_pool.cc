@@ -7,8 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace itrim {
 
 namespace {
@@ -61,32 +59,15 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
 void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
   for (;;) {
-    obs::MetricSlot* metrics = metrics_.load(std::memory_order_acquire);
     std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      const int64_t parked_ns =
-          metrics != nullptr ? obs::MonotonicNowNs() : 0;
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (metrics != nullptr) {
-        metrics->Inc(
-            obs::Counter::kPoolIdleNanos,
-            static_cast<uint64_t>(obs::MonotonicNowNs() - parked_ns));
-      }
       if (queue_.empty()) return;  // stop_ && drained
       task = std::move(queue_.front());
       queue_.pop();
     }
-    if (metrics == nullptr) {
-      task();  // packaged_task routes exceptions into the future
-    } else {
-      const int64_t t0 = obs::MonotonicNowNs();
-      task();
-      metrics->Inc(obs::Counter::kPoolTasksExecuted);
-      metrics->Observe(
-          obs::Histogram::kPoolTaskUs,
-          static_cast<double>(obs::MonotonicNowNs() - t0) / 1000.0);
-    }
+    task();  // packaged_task routes exceptions into the future
   }
 }
 

@@ -18,10 +18,11 @@
 // the ITRIM_THREADS environment variable, otherwise the hardware
 // concurrency. `num_jobs == 1` runs inline on the caller with no pool
 // involvement, so a pool of one is the serial path by construction.
+//
+// Workers record no metrics and read no clock.
 #ifndef ITRIM_COMMON_THREAD_POOL_H_
 #define ITRIM_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -32,10 +33,6 @@
 #include <vector>
 
 namespace itrim {
-
-namespace obs {
-class MetricSlot;
-}  // namespace obs
 
 /// \brief Fixed-size pool of worker threads consuming a FIFO task queue.
 class ThreadPool {
@@ -72,15 +69,6 @@ class ThreadPool {
   /// workers (used to serialize nested ParallelFor calls).
   static bool InWorker();
 
-  /// \brief Attaches a borrowed metric slot (src/obs/): workers then count
-  /// executed tasks, record per-task wall time and accumulate parked idle
-  /// nanoseconds. Null detaches. Safe to call while workers run (the
-  /// pointer is read atomically per dequeue); with no slot attached the
-  /// worker loop takes no timestamps at all.
-  void AttachMetrics(obs::MetricSlot* slot) {
-    metrics_.store(slot, std::memory_order_release);
-  }
-
  private:
   void WorkerLoop();
 
@@ -89,7 +77,6 @@ class ThreadPool {
   std::queue<std::packaged_task<void()>> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
-  std::atomic<obs::MetricSlot*> metrics_{nullptr};
 };
 
 /// \brief Resolves the default parallelism: ITRIM_THREADS when set to a

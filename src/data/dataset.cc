@@ -61,25 +61,6 @@ Dataset SampleWithReplacement(const Dataset& ds, size_t n, Rng* rng) {
   return out;
 }
 
-std::pair<Dataset, Dataset> TrainTestSplit(const Dataset& ds,
-                                           double train_fraction, Rng* rng) {
-  std::vector<size_t> idx(ds.rows.size());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  rng->Shuffle(&idx);
-  size_t cut = static_cast<size_t>(train_fraction *
-                                   static_cast<double>(idx.size()));
-  Dataset train, test;
-  train.name = ds.name + "/train";
-  test.name = ds.name + "/test";
-  train.num_clusters = test.num_clusters = ds.num_clusters;
-  for (size_t i = 0; i < idx.size(); ++i) {
-    Dataset* dst = i < cut ? &train : &test;
-    dst->rows.push_back(ds.rows[idx[i]]);
-    if (ds.labeled()) dst->labels.push_back(ds.labels[idx[i]]);
-  }
-  return {std::move(train), std::move(test)};
-}
-
 void Append(Dataset* dst, const Dataset& src) {
   dst->rows.insert(dst->rows.end(), src.rows.begin(), src.rows.end());
   if (dst->labeled() && src.labeled()) {

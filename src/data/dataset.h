@@ -40,11 +40,6 @@ void NormalizeMinMax(Dataset* ds);
 /// \brief Samples `n` rows with replacement (labels follow rows).
 Dataset SampleWithReplacement(const Dataset& ds, size_t n, Rng* rng);
 
-/// \brief Deterministically splits into (train, test) by `train_fraction`
-/// after a seeded shuffle.
-std::pair<Dataset, Dataset> TrainTestSplit(const Dataset& ds,
-                                           double train_fraction, Rng* rng);
-
 /// \brief Appends all rows (and labels when both sides are labeled) of `src`.
 void Append(Dataset* dst, const Dataset& src);
 

@@ -110,16 +110,6 @@ class NoisyDefectShareQuality : public QualityEvaluation {
   Rng rng_;
 };
 
-/// \brief Trigger threshold per Algorithm 1: quality below
-/// `baseline_quality - redundancy` trips the Titfortat judgement.
-/// (The algorithm listing writes "QE(Xi) < QE(X0) + Red" with Red acting as
-/// a tolerance; the working form, used in Section VI-D, subtracts the
-/// redundancy from the clean baseline.)
-inline double TitfortatTriggerQuality(double baseline_quality,
-                                      double redundancy) {
-  return baseline_quality - redundancy;
-}
-
 }  // namespace itrim
 
 #endif  // ITRIM_GAME_QUALITY_H_

@@ -1,18 +1,14 @@
 // Data manipulation attacks against LDP protocols (Cheu, Smith & Ullman;
 // Cao, Jia & Gong).
 //
+//  * LdpAttack — the poison-report generator interface the LDP game and
+//    tenants take.
 //  * InputManipulationAttack — the attacker counterfeits an input value and
 //    then follows the perturbation protocol honestly. Maximally evasive:
 //    individual poison reports are distributed exactly like some honest
 //    user's, so they are deniable and indistinguishable one-by-one.
-//  * GeneralManipulationAttack — Byzantine users report any value in the
-//    output domain without following the protocol (the maximal-gain attack
-//    reports the domain maximum).
 #ifndef ITRIM_LDP_ATTACKS_H_
 #define ITRIM_LDP_ATTACKS_H_
-
-#include <algorithm>
-#include <string>
 
 #include "common/rng.h"
 #include "ldp/mechanism.h"
@@ -23,7 +19,6 @@ namespace itrim {
 class LdpAttack {
  public:
   virtual ~LdpAttack() = default;
-  virtual std::string name() const = 0;
   /// \brief One poison report against `mechanism`.
   virtual double PoisonReport(const LdpMechanism& mechanism, Rng* rng) = 0;
 };
@@ -35,33 +30,12 @@ class InputManipulationAttack : public LdpAttack {
   /// classic skew-the-mean attack uses +1.
   explicit InputManipulationAttack(double fake_input = 1.0)
       : fake_input_(fake_input) {}
-  std::string name() const override { return "input_manipulation"; }
   double PoisonReport(const LdpMechanism& mechanism, Rng* rng) override {
     return mechanism.Perturb(fake_input_, rng);
   }
 
  private:
   double fake_input_;
-};
-
-/// \brief Byzantine output manipulation: report a chosen point of the output
-/// domain (default: its maximum, the maximal-gain attack).
-class GeneralManipulationAttack : public LdpAttack {
- public:
-  /// `fraction_of_max` in [0, 1]: 1 reports report_hi, 0 reports 0.
-  explicit GeneralManipulationAttack(double fraction_of_max = 1.0)
-      : fraction_(fraction_of_max) {}
-  std::string name() const override { return "general_manipulation"; }
-  double PoisonReport(const LdpMechanism& mechanism, Rng*) override {
-    double hi = mechanism.report_hi();
-    // Unbounded domains (Laplace) have no maximum; cap at a high but
-    // plausible report so the attack is not trivially detectable.
-    if (!std::isfinite(hi)) hi = 1.0 + 6.0 / mechanism.epsilon();
-    return fraction_ * hi;
-  }
-
- private:
-  double fraction_;
 };
 
 }  // namespace itrim

@@ -76,14 +76,6 @@ double EmfResult::WeightedMean(const std::vector<double>& values) const {
   return den > 0.0 ? num / den : 0.0;
 }
 
-double EmfResult::InputMean(const ReportModel& model) const {
-  double mean = 0.0;
-  for (size_t x = 0; x < input_frequencies.size(); ++x) {
-    mean += input_frequencies[x] * model.InputBinCenter(x);
-  }
-  return mean;
-}
-
 Result<EmfResult> FitEmFilter(const ReportModel& model,
                               const std::vector<double>& reports,
                               const EmfConfig& config) {

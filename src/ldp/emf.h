@@ -75,9 +75,6 @@ struct EmfResult {
   /// \brief Honesty-weighted mean of `values` (usually the reports, which
   /// are unbiased estimates of the inputs).
   double WeightedMean(const std::vector<double>& values) const;
-
-  /// \brief Mean of the deconvolved input histogram θ.
-  double InputMean(const ReportModel& model) const;
 };
 
 /// \brief Fits the EM filter to `reports` under `model`.

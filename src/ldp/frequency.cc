@@ -6,47 +6,6 @@
 
 namespace itrim {
 
-GrrOracle::GrrOracle(size_t domain, double epsilon)
-    : domain_(domain), epsilon_(epsilon) {
-  double e = std::exp(epsilon);
-  p_ = e / (e + static_cast<double>(domain) - 1.0);
-  q_ = 1.0 / (e + static_cast<double>(domain) - 1.0);
-}
-
-Result<GrrOracle> GrrOracle::Make(size_t domain, double epsilon) {
-  if (domain < 2) return Status::InvalidArgument("domain must be >= 2");
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  return GrrOracle(domain, epsilon);
-}
-
-std::vector<uint8_t> GrrOracle::Perturb(size_t item, Rng* rng) const {
-  assert(item < domain_);
-  size_t reported = item;
-  if (!rng->Bernoulli(p_)) {
-    // Uniform over the other domain-1 items.
-    size_t offset = 1 + static_cast<size_t>(rng->UniformInt(domain_ - 1));
-    reported = (item + offset) % domain_;
-  }
-  std::vector<uint8_t> report(domain_, 0);
-  report[reported] = 1;
-  return report;
-}
-
-std::vector<double> GrrOracle::Estimate(const std::vector<size_t>& bit_counts,
-                                        size_t n) const {
-  assert(bit_counts.size() == domain_);
-  std::vector<double> out(domain_, 0.0);
-  if (n == 0) return out;
-  double dn = static_cast<double>(n);
-  for (size_t v = 0; v < domain_; ++v) {
-    double observed = static_cast<double>(bit_counts[v]) / dn;
-    out[v] = (observed - q_) / (p_ - q_);
-  }
-  return out;
-}
-
 OueOracle::OueOracle(size_t domain, double epsilon)
     : domain_(domain), epsilon_(epsilon),
       q_(1.0 / (std::exp(epsilon) + 1.0)) {}
@@ -90,17 +49,10 @@ void ReportAggregator::Add(const std::vector<uint8_t>& report) {
   ++count_;
 }
 
-std::vector<uint8_t> MaximalGainAttack::PoisonReport(
-    const FrequencyOracle& oracle, Rng* rng) {
-  std::vector<uint8_t> report(oracle.report_width(), 0);
-  if (targets_.empty()) return report;
-  if (oracle.name() == "grr") {
-    // GRR reports are one-hot: pick one target (round-robin via rng).
-    size_t pick = targets_[rng->UniformInt(targets_.size())];
-    if (pick < report.size()) report[pick] = 1;
-    return report;
-  }
-  // Unary encodings: claim every target at once.
+std::vector<uint8_t> MaximalGainAttack::PoisonReport(const OueOracle& oracle,
+                                                     Rng*) {
+  // Unary encoding: claim every target at once.
+  std::vector<uint8_t> report(oracle.domain(), 0);
   for (size_t t : targets_) {
     if (t < report.size()) report[t] = 1;
   }
@@ -108,10 +60,8 @@ std::vector<uint8_t> MaximalGainAttack::PoisonReport(
 }
 
 std::vector<uint8_t> FrequencyInputManipulation::PoisonReport(
-    const FrequencyOracle& oracle, Rng* rng) {
-  if (targets_.empty()) {
-    return std::vector<uint8_t>(oracle.report_width(), 0);
-  }
+    const OueOracle& oracle, Rng* rng) {
+  if (targets_.empty()) return std::vector<uint8_t>(oracle.domain(), 0);
   size_t fake = targets_[rng->UniformInt(targets_.size())];
   return oracle.Perturb(std::min(fake, oracle.domain() - 1), rng);
 }

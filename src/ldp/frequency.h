@@ -1,4 +1,4 @@
-// Frequency oracles under LDP and poisoning attacks against them.
+// A frequency oracle under LDP and poisoning attacks against it.
 //
 // The EMF baseline's original setting (Du et al. ICDE'23) and the strongest
 // known LDP poisoning results (Cao, Jia & Gong USENIX'21) concern
@@ -6,21 +6,18 @@
 // that substrate so the library covers the full context the paper builds
 // on:
 //
-//  * GRR — k-ary (generalized) randomized response.
 //  * OUE — optimized unary encoding (per-bit randomized response with
-//    p = 1/2, q = 1/(e^eps + 1)).
-//  * FrequencyEstimate — the standard unbiased aggregate correction.
+//    p = 1/2, q = 1/(e^eps + 1)), with the standard unbiased aggregate
+//    correction.
 //  * MaximalGainAttack — Byzantine users submit the report that maximizes
 //    the estimated frequency of a target item set (the MGA of Cao et al.):
-//    under GRR, report the target item; under OUE, report the all-targets
-//    bit vector.
+//    the all-targets bit vector.
 //  * Input manipulation — attackers feed a counterfeit item through the
 //    honest protocol (the evasive variant, as in the mean-estimation game).
 #ifndef ITRIM_LDP_FREQUENCY_H_
 #define ITRIM_LDP_FREQUENCY_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,71 +25,27 @@
 
 namespace itrim {
 
-/// \brief A frequency oracle over the item domain {0, ..., domain-1}.
-class FrequencyOracle {
+/// \brief Optimized unary encoding over the item domain {0, ..., domain-1}:
+/// one-hot encode, keep the hot bit w.p. 1/2, flip each cold bit on w.p.
+/// 1/(e^eps + 1). Reports are bit vectors of length `domain()`.
+class OueOracle {
  public:
-  virtual ~FrequencyOracle() = default;
+  /// Requires domain >= 2 and epsilon > 0.
+  static Result<OueOracle> Make(size_t domain, double epsilon);
 
-  virtual std::string name() const = 0;
-  virtual double epsilon() const = 0;
-  virtual size_t domain() const = 0;
+  double epsilon() const { return epsilon_; }
+  size_t domain() const { return domain_; }
 
-  /// \brief Perturbs one item into a report (a bit vector of length
-  /// `report_width()`; GRR uses a one-hot encoding of the reported item).
-  virtual std::vector<uint8_t> Perturb(size_t item, Rng* rng) const = 0;
-
-  /// \brief Report width in bits.
-  virtual size_t report_width() const = 0;
+  /// \brief Perturbs one item into a report.
+  std::vector<uint8_t> Perturb(size_t item, Rng* rng) const;
 
   /// \brief Unbiased frequency estimates from summed reports.
   ///
   /// `bit_counts[j]` is the number of reports with bit j set and `n` the
   /// number of reports. Estimates are de-biased but not clipped, so
   /// poisoning shows up as inflated (possibly > 1 or < 0) frequencies.
-  virtual std::vector<double> Estimate(const std::vector<size_t>& bit_counts,
-                                       size_t n) const = 0;
-};
-
-/// \brief k-ary (generalized) randomized response: report the true item
-/// w.p. e^eps/(e^eps + k - 1), otherwise a uniformly random other item.
-class GrrOracle : public FrequencyOracle {
- public:
-  /// Requires domain >= 2 and epsilon > 0.
-  static Result<GrrOracle> Make(size_t domain, double epsilon);
-
-  std::string name() const override { return "grr"; }
-  double epsilon() const override { return epsilon_; }
-  size_t domain() const override { return domain_; }
-  size_t report_width() const override { return domain_; }
-  std::vector<uint8_t> Perturb(size_t item, Rng* rng) const override;
   std::vector<double> Estimate(const std::vector<size_t>& bit_counts,
-                               size_t n) const override;
-
-  /// \brief P[report = true item].
-  double p() const { return p_; }
-
- private:
-  GrrOracle(size_t domain, double epsilon);
-
-  size_t domain_;
-  double epsilon_;
-  double p_;  // truth probability
-  double q_;  // per-other-item probability
-};
-
-/// \brief Optimized unary encoding: one-hot encode, keep the hot bit w.p.
-/// 1/2, flip each cold bit on w.p. 1/(e^eps + 1).
-class OueOracle : public FrequencyOracle {
- public:
-  static Result<OueOracle> Make(size_t domain, double epsilon);
-
-  std::string name() const override { return "oue"; }
-  double epsilon() const override { return epsilon_; }
-  size_t domain() const override { return domain_; }
-  size_t report_width() const override { return domain_; }
-  std::vector<uint8_t> Perturb(size_t item, Rng* rng) const override;
-  std::vector<double> Estimate(const std::vector<size_t>& bit_counts,
-                               size_t n) const override;
+                               size_t n) const;
 
   double p() const { return 0.5; }
   double q() const { return q_; }
@@ -119,24 +72,23 @@ class ReportAggregator {
   size_t count_ = 0;
 };
 
-/// \brief Poison-report generators against frequency oracles.
+/// \brief Poison-report generators against the OUE oracle.
 class FrequencyAttack {
  public:
   virtual ~FrequencyAttack() = default;
-  virtual std::string name() const = 0;
-  virtual std::vector<uint8_t> PoisonReport(const FrequencyOracle& oracle,
+  virtual std::vector<uint8_t> PoisonReport(const OueOracle& oracle,
                                             Rng* rng) = 0;
 };
 
 /// \brief Maximal gain attack (Cao et al.): craft the report that inflates
-/// the target items most. GRR: report a target item outright. OUE: set
-/// exactly the target bits (deterministic, maximally effective).
+/// the target items most, i.e. set exactly the target bits (deterministic,
+/// maximally effective; out-of-range targets are ignored and no Rng draw is
+/// made).
 class MaximalGainAttack : public FrequencyAttack {
  public:
   explicit MaximalGainAttack(std::vector<size_t> targets)
       : targets_(std::move(targets)) {}
-  std::string name() const override { return "mga"; }
-  std::vector<uint8_t> PoisonReport(const FrequencyOracle& oracle,
+  std::vector<uint8_t> PoisonReport(const OueOracle& oracle,
                                     Rng* rng) override;
 
  private:
@@ -149,8 +101,7 @@ class FrequencyInputManipulation : public FrequencyAttack {
  public:
   explicit FrequencyInputManipulation(std::vector<size_t> targets)
       : targets_(std::move(targets)) {}
-  std::string name() const override { return "input_manipulation"; }
-  std::vector<uint8_t> PoisonReport(const FrequencyOracle& oracle,
+  std::vector<uint8_t> PoisonReport(const OueOracle& oracle,
                                     Rng* rng) override;
 
  private:

@@ -200,54 +200,6 @@ Status LinearRegressor::FitRowsInPlace(std::span<const double> obs,
       out);
 }
 
-Status LinearRegressor::FitMiniBatchSgd(std::span<const double> xs,
-                                        std::span<const double> ys,
-                                        size_t dims, const SgdOptions& options,
-                                        Rng* rng, LinearModel* out) {
-  if (dims == 0) return Status::InvalidArgument("FitMiniBatchSgd: dims == 0");
-  const size_t n = ys.size();
-  if (n == 0) return Status::InvalidArgument("FitMiniBatchSgd: no rows");
-  if (xs.size() != n * dims) {
-    return Status::InvalidArgument(
-        "FitMiniBatchSgd: xs must hold ys.size() * dims doubles");
-  }
-  if (rng == nullptr) return Status::InvalidArgument("FitMiniBatchSgd: rng");
-  if (options.epochs < 0 || options.batch_size == 0 ||
-      !(options.learning_rate > 0.0) || options.l2 < 0.0) {
-    return Status::InvalidArgument("FitMiniBatchSgd: bad options");
-  }
-
-  out->weights.assign(dims, 0.0);
-  out->bias = 0.0;
-  perm_.resize(n);
-  for (size_t i = 0; i < n; ++i) perm_[i] = i;
-  gradient_.resize(dims + 1);
-
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    rng->Shuffle(&perm_);
-    for (size_t start = 0; start < n; start += options.batch_size) {
-      const size_t count = std::min(options.batch_size, n - start);
-      std::fill(gradient_.begin(), gradient_.end(), 0.0);
-      for (size_t k = 0; k < count; ++k) {
-        const double* x = xs.data() + perm_[start + k] * dims;
-        const double err =
-            kernels::LaneDot(out->weights.data(), x, dims) + out->bias -
-            ys[perm_[start + k]];
-        for (size_t j = 0; j < dims; ++j) gradient_[j] += err * x[j];
-        gradient_[dims] += err;
-      }
-      const double scale = options.learning_rate / static_cast<double>(count);
-      for (size_t j = 0; j < dims; ++j) {
-        out->weights[j] -=
-            scale * gradient_[j] +
-            options.learning_rate * options.l2 * out->weights[j];
-      }
-      out->bias -= scale * gradient_[dims];
-    }
-  }
-  return Status::OK();
-}
-
 RegressionData MakeSyntheticRegression(size_t n, size_t dims, double noise,
                                        uint64_t seed, LinearModel* truth) {
   Rng rng(seed);

@@ -1,9 +1,9 @@
 // Linear regression and the Trim / iTrim poisoning defenses.
 //
 // Substrate for the regression-poisoning workload: a deterministic linear
-// model (closed-form normal equations plus mini-batch SGD, both driven only
-// by the caller's `Rng`), the flip-and-shift training-set attack, and the
-// iterative trimming defenses of the regression-poisoning literature:
+// model (closed-form normal equations, no RNG), the flip-and-shift
+// training-set attack, and the iterative trimming defenses of the
+// regression-poisoning literature:
 //
 //  * TrimDefense  — fit, keep the lowest-residual n = floor(N / (1 + eps))
 //    points, refit, repeat until the mean residual change falls below `tol`
@@ -45,23 +45,13 @@ struct LinearModel {
   double Predict(std::span<const double> x) const;
 };
 
-/// \brief Mini-batch SGD hyperparameters.
-struct SgdOptions {
-  int epochs = 50;
-  size_t batch_size = 32;
-  double learning_rate = 0.05;
-  double l2 = 0.0;  ///< ridge penalty on the weights (not the bias)
-};
-
 /// \brief Linear-regression fitter with reusable scratch.
 ///
-/// Both fits are deterministic: the closed form accumulates the normal
-/// equations sequentially and solves by Gaussian elimination with partial
-/// pivoting (no RNG at all); SGD draws only from the caller's `Rng`
-/// (per-epoch Fisher-Yates shuffle, then sequential mini-batches). The
-/// scratch buffers only grow, so a warm regressor refits without touching
-/// the heap — the property the model-in-the-loop trim reference leans on to
-/// keep the session round loop allocation-free.
+/// The fit is deterministic: it accumulates the normal equations
+/// sequentially and solves by Gaussian elimination with partial pivoting
+/// (no RNG at all). The scratch buffers only grow, so a warm regressor
+/// refits without touching the heap — the property the model-in-the-loop
+/// trim reference leans on to keep the session round loop allocation-free.
 class LinearRegressor {
  public:
   /// \brief Exact least-squares fit of `n = ys.size()` flat observations
@@ -80,13 +70,6 @@ class LinearRegressor {
   Status FitRowsInPlace(std::span<const double> obs, size_t width,
                         std::span<const size_t> rows, LinearModel* out);
 
-  /// \brief Mini-batch SGD fit; deterministic under `rng` (the epoch
-  /// shuffles are the only draws).
-  Status FitMiniBatchSgd(std::span<const double> xs,
-                         std::span<const double> ys, size_t dims,
-                         const SgdOptions& options, Rng* rng,
-                         LinearModel* out);
-
  private:
   /// Accumulates the normal equations of `n` rows, row r being
   /// `row_at(r)` = {pointer to its dims features, its response}, and solves
@@ -96,11 +79,9 @@ class LinearRegressor {
                               LinearModel* out);
 
   // Augmented-design scratch for the closed form: (dims+1)^2 normal matrix
-  // plus right-hand side, and the SGD index permutation / gradient buffer.
-  std::vector<double> normal_;    ///< (dims+1) x (dims+1), row-major
-  std::vector<double> rhs_;       ///< dims+1
-  std::vector<size_t> perm_;      ///< SGD epoch shuffle
-  std::vector<double> gradient_;  ///< dims+1 accumulator
+  // plus right-hand side.
+  std::vector<double> normal_;  ///< (dims+1) x (dims+1), row-major
+  std::vector<double> rhs_;     ///< dims+1
 };
 
 /// \brief A flat regression training set: n rows of `dims` features plus a

@@ -111,40 +111,6 @@ double Som::QuantizationError(
   return acc / static_cast<double>(rows.size());
 }
 
-std::vector<double> Som::UMatrix() const {
-  std::vector<double> out(weights_.size(), 0.0);
-  for (size_t r = 0; r < height_; ++r) {
-    for (size_t c = 0; c < width_; ++c) {
-      double acc = 0.0;
-      int neighbors = 0;
-      auto consider = [&](long rr, long cc) {
-        if (rr < 0 || cc < 0 || rr >= static_cast<long>(height_) ||
-            cc >= static_cast<long>(width_)) {
-          return;
-        }
-        acc += EuclideanDistance(
-            weights_[r * width_ + c],
-            weights_[static_cast<size_t>(rr) * width_ +
-                     static_cast<size_t>(cc)]);
-        ++neighbors;
-      };
-      consider(static_cast<long>(r) - 1, static_cast<long>(c));
-      consider(static_cast<long>(r) + 1, static_cast<long>(c));
-      consider(static_cast<long>(r), static_cast<long>(c) - 1);
-      consider(static_cast<long>(r), static_cast<long>(c) + 1);
-      out[r * width_ + c] = neighbors > 0 ? acc / neighbors : 0.0;
-    }
-  }
-  return out;
-}
-
-std::vector<size_t> Som::HitMap(
-    const std::vector<std::vector<double>>& rows) const {
-  std::vector<size_t> hits(weights_.size(), 0);
-  for (const auto& row : rows) ++hits[BestMatchingUnit(row)];
-  return hits;
-}
-
 std::vector<int> Som::LabelMap(const Dataset& data) const {
   assert(data.labeled());
   std::vector<std::map<int, size_t>> votes(weights_.size());

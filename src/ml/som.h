@@ -47,13 +47,6 @@ class Som {
   /// \brief Mean distance from rows to their BMU weight (quantization error).
   double QuantizationError(const std::vector<std::vector<double>>& rows) const;
 
-  /// \brief U-matrix: per-node mean distance to grid-neighbor weights
-  /// (row-major, width*height entries). Dark ridges = cluster boundaries.
-  std::vector<double> UMatrix() const;
-
-  /// \brief Per-node sample counts for `rows` (hit histogram).
-  std::vector<size_t> HitMap(const std::vector<std::vector<double>>& rows) const;
-
   /// \brief Majority label per node (-1 for empty nodes); requires labels.
   std::vector<int> LabelMap(const Dataset& data) const;
 

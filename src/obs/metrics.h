@@ -73,11 +73,7 @@ namespace itrim::obs {
   X(kSessionReferenceRefits, "session_reference_refits",                       \
     "Rounds in which the reference policy refit its model")                    \
   X(kSessionRefitIterations, "session_refit_iterations",                       \
-    "Total reference-model refit iterations (inner trim-refit loops)")         \
-  X(kPoolTasksExecuted, "pool_tasks_executed",                                 \
-    "Tasks executed by instrumented thread-pool workers")                      \
-  X(kPoolIdleNanos, "pool_idle_nanos",                                         \
-    "Nanoseconds instrumented pool workers spent parked waiting for work")
+    "Total reference-model refit iterations (inner trim-refit loops)")
 
 #define ITRIM_OBS_GAUGES(X)                                                    \
   X(kIngestQueueDepth, "ingest_queue_depth",                                   \
@@ -116,9 +112,7 @@ namespace itrim::obs {
     "Wall time of one coalesced tenant round in an ingest worker "             \
     "(microseconds; sampled 1-in-4 per lane)", kLatencyUsBounds)               \
   X(kFleetRoundWallUs, "fleet_round_wall_us",                                  \
-    "Wall time of one lockstep fleet round (microseconds)", kRoundUsBounds)    \
-  X(kPoolTaskUs, "pool_task_us",                                               \
-    "Thread-pool task execution time (microseconds)", kLatencyUsBounds)
+    "Wall time of one lockstep fleet round (microseconds)", kRoundUsBounds)
 
 enum class Counter : int {
 #define ITRIM_OBS_ENUM(sym, name, help) sym,
@@ -170,7 +164,7 @@ const GaugeInfo& MetaOf(Gauge g);
 const HistogramInfo& MetaOf(Histogram h);
 
 // ---------------------------------------------------------------------------
-// MetricSlot: one writer domain's storage (a shard, the service, a pool...).
+// MetricSlot: one writer domain's storage (a shard, the service, a fleet...).
 // All methods below are hot-path safe: wait-free single relaxed atomic ops,
 // no allocation. Slots are created by (and owned by) a MetricsRegistry.
 // ---------------------------------------------------------------------------

@@ -9,17 +9,6 @@
 
 namespace itrim {
 
-double SumSquaredError(const std::vector<double>& observed,
-                       const std::vector<double>& predicted) {
-  assert(observed.size() == predicted.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < observed.size(); ++i) {
-    double d = observed[i] - predicted[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
 double ClusteringSse(const std::vector<std::vector<double>>& points,
                      const std::vector<std::vector<double>>& centroids,
                      const std::vector<size_t>& assignment) {
@@ -30,13 +19,6 @@ double ClusteringSse(const std::vector<std::vector<double>>& points,
     acc += SquaredDistance(points[i], centroids[assignment[i]]);
   }
   return acc;
-}
-
-double MeanSquaredError(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  if (a.empty()) return 0.0;
-  return SumSquaredError(a, b) / static_cast<double>(a.size());
 }
 
 double CentroidSetDistance(const std::vector<std::vector<double>>& a,
@@ -103,34 +85,6 @@ double ConfusionMatrix::Ppv(size_t c) const {
   for (size_t r = 0; r < classes_; ++r) col += Count(r, c);
   if (col == 0) return 0.0;
   return static_cast<double>(Count(c, c)) / static_cast<double>(col);
-}
-
-double ConfusionMatrix::Fdr(size_t c) const {
-  size_t col = 0;
-  for (size_t r = 0; r < classes_; ++r) col += Count(r, c);
-  if (col == 0) return 0.0;
-  return 1.0 - Ppv(c);
-}
-
-double ConfusionMatrix::Recall(size_t c) const {
-  size_t row = 0;
-  for (size_t p = 0; p < classes_; ++p) row += Count(c, p);
-  if (row == 0) return 0.0;
-  return static_cast<double>(Count(c, c)) / static_cast<double>(row);
-}
-
-double ConfusionMatrix::MacroPpv() const {
-  double acc = 0.0;
-  size_t used = 0;
-  for (size_t c = 0; c < classes_; ++c) {
-    size_t col = 0;
-    for (size_t r = 0; r < classes_; ++r) col += Count(r, c);
-    if (col > 0) {
-      acc += Ppv(c);
-      ++used;
-    }
-  }
-  return used == 0 ? 0.0 : acc / static_cast<double>(used);
 }
 
 }  // namespace itrim

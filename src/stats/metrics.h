@@ -1,7 +1,6 @@
 // Evaluation metrics used throughout the paper's experiments:
 // SSE and centroid distance for k-means (Fig 4/5), accuracy and the
-// PPV/FDR confusion matrix for SVM (Fig 6a/7), MSE for LDP mean estimation
-// (Fig 9).
+// per-class PPV of a confusion matrix for SVM (Fig 6a/7).
 #ifndef ITRIM_STATS_METRICS_H_
 #define ITRIM_STATS_METRICS_H_
 
@@ -12,20 +11,11 @@
 
 namespace itrim {
 
-/// \brief Sum of squared errors between observations and predictions:
-/// SSE = sum_i (y_i - yhat_i)^2.
-double SumSquaredError(const std::vector<double>& observed,
-                       const std::vector<double>& predicted);
-
 /// \brief SSE of a clustering: sum over points of squared distance to the
 /// assigned centroid.
 double ClusteringSse(const std::vector<std::vector<double>>& points,
                      const std::vector<std::vector<double>>& centroids,
                      const std::vector<size_t>& assignment);
-
-/// \brief Mean squared error between two equal-length vectors.
-double MeanSquaredError(const std::vector<double>& a,
-                        const std::vector<double>& b);
 
 /// \brief Total Euclidean distance between two centroid sets under the
 /// minimal greedy matching (handles centroid permutation between runs).
@@ -55,15 +45,6 @@ class ConfusionMatrix {
   /// \brief Positive predictive value of class `c`
   /// (diagonal / column sum; 0 when the class was never predicted).
   double Ppv(size_t c) const;
-
-  /// \brief False discovery rate of class `c` (1 - PPV; 0 when unused).
-  double Fdr(size_t c) const;
-
-  /// \brief Recall of class `c` (diagonal / row sum).
-  double Recall(size_t c) const;
-
-  /// \brief Macro-averaged PPV over classes that were predicted at least once.
-  double MacroPpv() const;
 
   /// \brief Number of classes.
   size_t classes() const { return classes_; }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace itrim {
@@ -14,24 +13,12 @@ TEST(ClampTest, Bounds) {
   EXPECT_EQ(Clamp(0.5, 0.0, 1.0), 0.5);
 }
 
-TEST(AlmostEqualTest, TolerancesWork) {
-  EXPECT_TRUE(AlmostEqual(1.0, 1.0));
-  EXPECT_TRUE(AlmostEqual(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(AlmostEqual(1.0, 1.1));
-  EXPECT_TRUE(AlmostEqual(1e9, 1e9 + 1.0, 1e-9, 1e-8));
-}
-
 TEST(DistanceTest, SquaredAndEuclidean) {
   std::vector<double> a = {0.0, 0.0};
   std::vector<double> b = {3.0, 4.0};
   EXPECT_DOUBLE_EQ(SquaredDistance(a, b), 25.0);
   EXPECT_DOUBLE_EQ(EuclideanDistance(a, b), 5.0);
   EXPECT_DOUBLE_EQ(EuclideanDistance(a, a), 0.0);
-}
-
-TEST(NormTest, KnownValues) {
-  EXPECT_DOUBLE_EQ(Norm({3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(Norm({}), 0.0);
 }
 
 TEST(DotTest, KnownValues) {
@@ -50,12 +37,6 @@ TEST(MeanTest, Values) {
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
 }
 
-TEST(VarianceTest, Values) {
-  EXPECT_DOUBLE_EQ(Variance({1.0, 1.0, 1.0}), 0.0);
-  EXPECT_DOUBLE_EQ(Variance({0.0, 2.0}), 1.0);
-  EXPECT_DOUBLE_EQ(Variance({5.0}), 0.0);
-}
-
 TEST(CentroidTest, ComponentwiseMean) {
   auto c = Centroid({{0.0, 0.0}, {2.0, 4.0}});
   ASSERT_EQ(c.size(), 2u);
@@ -68,20 +49,6 @@ TEST(LerpTest, Endpoints) {
   EXPECT_DOUBLE_EQ(Lerp(2.0, 4.0, 0.0), 2.0);
   EXPECT_DOUBLE_EQ(Lerp(2.0, 4.0, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(Lerp(2.0, 4.0, 0.5), 3.0);
-}
-
-TEST(LinspaceTest, EvenSpacing) {
-  auto v = Linspace(0.0, 1.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v[0], 0.0);
-  EXPECT_DOUBLE_EQ(v[2], 0.5);
-  EXPECT_DOUBLE_EQ(v[4], 1.0);
-}
-
-TEST(LinspaceTest, ExactEndpointDespiteRounding) {
-  auto v = Linspace(1.0, 5.0, 7);
-  EXPECT_DOUBLE_EQ(v.back(), 5.0);
-  EXPECT_DOUBLE_EQ(v.front(), 1.0);
 }
 
 }  // namespace

@@ -82,19 +82,6 @@ TEST(SampleWithReplacementTest, SizeAndMembership) {
   }
 }
 
-TEST(TrainTestSplitTest, PartitionsData) {
-  Dataset ds;
-  for (int i = 0; i < 100; ++i) {
-    ds.rows.push_back({static_cast<double>(i)});
-    ds.labels.push_back(i % 3);
-  }
-  Rng rng(5);
-  auto [train, test] = TrainTestSplit(ds, 0.7, &rng);
-  EXPECT_EQ(train.size(), 70u);
-  EXPECT_EQ(test.size(), 30u);
-  EXPECT_EQ(train.labels.size(), 70u);
-}
-
 TEST(AppendTest, ConcatenatesRowsAndLabels) {
   Dataset a = MakeTiny();
   Dataset b = MakeTiny();

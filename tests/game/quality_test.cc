@@ -124,9 +124,5 @@ TEST(NoisyDefectShareQualityTest, JitterVariesAcrossCalls) {
   EXPECT_NE(a, b);
 }
 
-TEST(TitfortatTriggerQualityTest, SubtractsRedundancy) {
-  EXPECT_DOUBLE_EQ(TitfortatTriggerQuality(0.95, 0.05), 0.9);
-}
-
 }  // namespace
 }  // namespace itrim

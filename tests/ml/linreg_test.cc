@@ -160,31 +160,6 @@ TEST(LinearRegressorTest, InPlaceFitRejectsBadShapes) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(LinearRegressorTest, SgdIsDeterministicUnderSeedAndConverges) {
-  LinearModel truth;
-  RegressionData data =
-      MakeSyntheticRegression(300, 2, /*noise=*/0.0, 404, &truth);
-  SgdOptions options;
-  options.epochs = 300;
-  LinearRegressor regressor;
-  LinearModel a, b;
-  Rng rng_a(99), rng_b(99);
-  ASSERT_TRUE(regressor
-                  .FitMiniBatchSgd(data.xs, data.ys, data.dims, options,
-                                   &rng_a, &a)
-                  .ok());
-  ASSERT_TRUE(regressor
-                  .FitMiniBatchSgd(data.xs, data.ys, data.dims, options,
-                                   &rng_b, &b)
-                  .ok());
-  for (size_t j = 0; j < data.dims; ++j) {
-    EXPECT_TRUE(SameBits(a.weights[j], b.weights[j])) << j;
-    EXPECT_NEAR(a.weights[j], truth.weights[j], 0.05) << j;
-  }
-  EXPECT_TRUE(SameBits(a.bias, b.bias));
-  EXPECT_NEAR(a.bias, truth.bias, 0.05);
-}
-
 TEST(FlipShiftPoisonTest, AppendsTailRowsFlippedAcrossReference) {
   LinearModel truth;
   RegressionData data =

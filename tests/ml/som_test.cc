@@ -71,29 +71,6 @@ TEST(SomTest, SeparatedClassesOwnDistinctRegions) {
   for (size_t n : bmu0) EXPECT_EQ(bmu1.count(n), 0u);
 }
 
-TEST(SomTest, HitMapCountsAllRows) {
-  Dataset ds = MakeBlobs(4, 80);
-  auto som = Som::Train(ds, SmallConfig()).ValueOrDie();
-  auto hits = som.HitMap(ds.rows);
-  size_t total = 0;
-  for (size_t h : hits) total += h;
-  EXPECT_EQ(total, ds.size());
-}
-
-TEST(SomTest, UMatrixShowsBoundaries) {
-  Dataset ds = MakeBlobs(5, 150);
-  auto som = Som::Train(ds, SmallConfig()).ValueOrDie();
-  auto umatrix = som.UMatrix();
-  ASSERT_EQ(umatrix.size(), 64u);
-  // Boundary ridges: the max U-value should clearly exceed the min.
-  double lo = 1e18, hi = -1e18;
-  for (double u : umatrix) {
-    lo = std::min(lo, u);
-    hi = std::max(hi, u);
-  }
-  EXPECT_GT(hi, 3.0 * lo);
-}
-
 TEST(SomTest, LabelMapMarksEmptyNodes) {
   Dataset ds = MakeBlobs(6, 30);
   auto som = Som::Train(ds, SmallConfig()).ValueOrDie();

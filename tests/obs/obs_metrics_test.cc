@@ -132,13 +132,13 @@ TEST(MetricsRegistryTest, ScrapeIsSafeWhileWritersRecord) {
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       slot->Inc(Counter::kSessionRoundsPlayed);
-      slot->Observe(Histogram::kPoolTaskUs, 2.0);
+      slot->Observe(Histogram::kIngestRoundWallUs, 2.0);
     }
   });
   for (int i = 0; i < 50; ++i) {
     MetricsSnapshot snap = registry.Scrape();
     const HistogramValue& h =
-        snap.merged.histograms[static_cast<int>(Histogram::kPoolTaskUs)];
+        snap.merged.histograms[static_cast<int>(Histogram::kIngestRoundWallUs)];
     uint64_t total = 0;
     for (uint64_t n : h.counts) total += n;
     // `count` must never run ahead of the bucket sum it is exported next
@@ -186,11 +186,11 @@ TEST(ScrapeSamplerTest, ObservesConcurrentRecording) {
       &registry, std::chrono::milliseconds(1),
       [&](const MetricsSnapshot& snap) {
         last_seen.store(snap.merged.counters[static_cast<int>(
-                            Counter::kPoolTasksExecuted)],
+                            Counter::kIngestRoundsPlayed)],
                         std::memory_order_relaxed);
       });
   ASSERT_TRUE(sampler.Start().ok());
-  for (int i = 0; i < 1000; ++i) slot->Inc(Counter::kPoolTasksExecuted);
+  for (int i = 0; i < 1000; ++i) slot->Inc(Counter::kIngestRoundsPlayed);
   sampler.Stop();
   // The final flush sample runs after Stop is requested, so it sees
   // everything recorded before Stop() was called.
