@@ -61,12 +61,4 @@ Dataset SampleWithReplacement(const Dataset& ds, size_t n, Rng* rng) {
   return out;
 }
 
-void Append(Dataset* dst, const Dataset& src) {
-  dst->rows.insert(dst->rows.end(), src.rows.begin(), src.rows.end());
-  if (dst->labeled() && src.labeled()) {
-    dst->labels.insert(dst->labels.end(), src.labels.begin(),
-                       src.labels.end());
-  }
-}
-
 }  // namespace itrim

@@ -40,9 +40,6 @@ void NormalizeMinMax(Dataset* ds);
 /// \brief Samples `n` rows with replacement (labels follow rows).
 Dataset SampleWithReplacement(const Dataset& ds, size_t n, Rng* rng);
 
-/// \brief Appends all rows (and labels when both sides are labeled) of `src`.
-void Append(Dataset* dst, const Dataset& src);
-
 }  // namespace itrim
 
 #endif  // ITRIM_DATA_DATASET_H_

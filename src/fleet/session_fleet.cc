@@ -14,9 +14,6 @@ namespace itrim {
 Status FleetConfig::Validate() const {
   if (rounds < 1) return Status::InvalidArgument("rounds must be >= 1");
   if (threads < 0) return Status::InvalidArgument("threads must be >= 0");
-  if (shard_size < 0) {
-    return Status::InvalidArgument("shard_size must be >= 0");
-  }
   return Status::OK();
 }
 
@@ -95,7 +92,7 @@ Status SessionFleet::Bootstrap() {
   const size_t n = tenants_.size();
   std::vector<Status> statuses(n);
   ParallelForShards(
-      n, static_cast<size_t>(config_.shard_size),
+      n, /*shard_size=*/0,
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           statuses[i] = tenants_[i].session->Bootstrap();
@@ -228,8 +225,7 @@ Result<FleetRoundAggregate> SessionFleet::StepRound() {
   if (jobs <= 1 || n == 1) {
     step_range(0, n);
   } else {
-    ParallelForShards(n, static_cast<size_t>(config_.shard_size), step_range,
-                      config_.threads);
+    ParallelForShards(n, /*shard_size=*/0, step_range, config_.threads);
   }
   for (size_t i = 0; i < n; ++i) {
     if (!step_statuses_[i].ok()) {
@@ -388,7 +384,7 @@ Status SessionFleet::Restore(const FleetCheckpoint& checkpoint) {
   const size_t n = tenants_.size();
   std::vector<Status> statuses(n);
   ParallelForShards(
-      n, static_cast<size_t>(config_.shard_size),
+      n, /*shard_size=*/0,
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           statuses[i] = tenants_[i].session->Restore(checkpoint.sessions[i]);

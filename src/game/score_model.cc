@@ -18,6 +18,22 @@ size_t ScoreModel::PoisonCount(const GameConfig& config, double* quota) const {
   return count;
 }
 
+void ScoreModel::BeginRound(size_t expected) {
+  rows_used_ = 0;
+  scores_.clear();
+  is_poison_.clear();
+  scores_.reserve(expected);
+  is_poison_.reserve(expected);
+}
+
+std::span<const uint64_t> ScoreModel::DrawBenignIndices(uint64_t n,
+                                                        size_t count,
+                                                        Rng* rng) {
+  index_scratch_.resize(count);
+  rng->FillUniformInt(n, index_scratch_.data(), count);
+  return index_scratch_;
+}
+
 Status ScoreModel::TrimAtReference(double percentile,
                                    const PublicBoard& board,
                                    TrimOutcome* out) {
@@ -62,7 +78,7 @@ Status ScoreModel::ScoreIntoScalar(std::span<const double> obs,
 // ---------------------------------------------------------------------------
 
 IdentityScoreModel::IdentityScoreModel(const std::vector<double>* benign_pool)
-    : benign_pool_(benign_pool) {}
+    : ScoreModel(1), benign_pool_(benign_pool) {}
 
 Status IdentityScoreModel::BeginRun() {
   if (benign_pool_ == nullptr || benign_pool_->empty()) {
@@ -81,19 +97,9 @@ Status IdentityScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   return Status::OK();
 }
 
-void IdentityScoreModel::BeginRound(size_t expected) {
-  values_.clear();
-  is_poison_.clear();
-  values_.reserve(expected);
-  is_poison_.reserve(expected);
-}
-
 void IdentityScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
-  index_scratch_.resize(count);
-  rng->FillUniformInt(benign_pool_->size(), index_scratch_.data(), count);
-  for (size_t i = 0; i < count; ++i) {
-    values_.push_back((*benign_pool_)[index_scratch_[i]]);
-    is_poison_.push_back(0);
+  for (uint64_t idx : DrawBenignIndices(benign_pool_->size(), count, rng)) {
+    AppendScore((*benign_pool_)[idx], false);
   }
 }
 
@@ -102,8 +108,7 @@ Status IdentityScoreModel::AppendPoison(double position, Rng* /*rng*/,
   // Poison "at percentile a" is the board's a-quantile value: the attack
   // plants mass exactly where the reference distribution puts that rank.
   ITRIM_ASSIGN_OR_RETURN(double value, board.Quantile(position));
-  values_.push_back(value);
-  is_poison_.push_back(1);
+  AppendScore(value, true);
   return Status::OK();
 }
 
@@ -121,10 +126,12 @@ Status IdentityScoreModel::ScoreInto(std::span<const double> obs,
 
 void IdentityScoreModel::Commit(std::span<const char> keep) {
   if (!retain_survivors_) return;
-  for (size_t i = 0; i < values_.size(); ++i) {
+  const std::span<const double> values = scores();
+  const std::span<const char> poison = is_poison();
+  for (size_t i = 0; i < values.size(); ++i) {
     if (keep[i]) {
-      retained_.push_back(values_[i]);
-      retained_is_poison_.push_back(is_poison_[i]);
+      retained_.push_back(values[i]);
+      retained_is_poison_.push_back(poison[i]);
     }
   }
 }
@@ -134,7 +141,7 @@ void IdentityScoreModel::Commit(std::span<const char> keep) {
 // ---------------------------------------------------------------------------
 
 DistanceScoreModel::DistanceScoreModel(const Dataset* source)
-    : source_(source) {}
+    : ScoreModel(source != nullptr ? source->dims() : 0), source_(source) {}
 
 Status DistanceScoreModel::BeginRun() {
   if (source_ == nullptr || source_->rows.empty()) {
@@ -143,9 +150,12 @@ Status DistanceScoreModel::BeginRun() {
   // Rows are read in place at dims() doubles each (bootstrap sample,
   // first-draw scoring, round copies): a ragged source is rejected here.
   ITRIM_RETURN_NOT_OK(source_->Validate());
+  if (source_->dims() != ObsWidth()) {
+    return Status::FailedPrecondition(
+        "source row width changed since the model was built");
+  }
   labeled_ = source_->labeled();
-  dims_ = source_->dims();
-  poison_row_scratch_.resize(dims_);
+  poison_row_scratch_.resize(ObsWidth());
   retained_ = Dataset{};
   retained_.name = source_->name + "/retained";
   retained_.num_clusters = source_->num_clusters;
@@ -163,38 +173,25 @@ Status DistanceScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   for (const double*& row : sample) {
     row = source_->rows[rng->UniformInt(n_source)].data();
   }
-  ITRIM_ASSIGN_OR_RETURN(position_map_, PositionMap::Build(sample, dims_));
+  const size_t dims = ObsWidth();
+  ITRIM_ASSIGN_OR_RETURN(position_map_, PositionMap::Build(sample, dims));
   centroid_ = position_map_.centroid();
   // Per-row scoring matches the batched kernel sweep bit for bit (the
   // kernel shares the canonical distance with PositionOfRow).
   for (const double* row : sample) {
     board->RecordOne(
-        position_map_.PositionOfRow(std::span<const double>(row, dims_)));
+        position_map_.PositionOfRow(std::span<const double>(row, dims)));
   }
   source_scores_.assign(n_source, std::numeric_limits<double>::quiet_NaN());
   return Status::OK();
 }
 
-void DistanceScoreModel::BeginRound(size_t expected) {
-  rows_used_ = 0;
-  labels_.clear();
-  scores_.clear();
-  is_poison_.clear();
-  scores_.reserve(expected);
-  is_poison_.reserve(expected);
-}
-
-std::span<double> DistanceScoreModel::NextRowSlot() {
-  const size_t needed = (rows_used_ + 1) * dims_;
-  if (row_data_.size() < needed) row_data_.resize(needed);
-  return std::span<double>(row_data_.data() + rows_used_++ * dims_, dims_);
-}
-
 void DistanceScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
-  index_scratch_.resize(count);
-  rng->FillUniformInt(source_->rows.size(), index_scratch_.data(), count);
-  for (size_t i = 0; i < count; ++i) {
-    const size_t idx = static_cast<size_t>(index_scratch_[i]);
+  // The benign batch is the round's first arrival (BeginRound() came
+  // right before), so it opens the round's labels.
+  labels_.clear();
+  for (uint64_t draw : DrawBenignIndices(source_->rows.size(), count, rng)) {
+    const size_t idx = static_cast<size_t>(draw);
     if (retain_survivors_) {
       // Rows are only ever consumed by Commit(); a streaming session that
       // retains nothing never materializes them.
@@ -207,8 +204,7 @@ void DistanceScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
     if (std::isnan(score)) {
       score = position_map_.PositionOfRow(source_->rows[idx]);
     }
-    scores_.push_back(score);
-    is_poison_.push_back(0);
+    AppendScore(score, false);
   }
 }
 
@@ -243,14 +239,8 @@ Status DistanceScoreModel::AppendPoison(double position, Rng* rng,
     labels_.push_back(static_cast<int>(
         rng->UniformInt(std::max<size_t>(1, source_->num_clusters))));
   }
-  scores_.push_back(position_map_.PositionOfRow(row));
-  is_poison_.push_back(1);
+  AppendScore(position_map_.PositionOfRow(row), true);
   return Status::OK();
-}
-
-size_t DistanceScoreModel::ObsWidth() const {
-  if (dims_ > 0) return dims_;
-  return source_ != nullptr ? source_->dims() : 0;
 }
 
 double DistanceScoreModel::ScoreObservation(std::span<const double> obs) const {
@@ -268,18 +258,22 @@ Status DistanceScoreModel::TrimAtReference(double percentile,
                                            const PublicBoard& /*board*/,
                                            TrimOutcome* out) {
   // Positions *are* percentiles: the threshold applies directly.
-  TrimAboveValueInto(scores_, percentile, out);
+  TrimAboveValueInto(scores(), percentile, out);
   return Status::OK();
 }
 
 void DistanceScoreModel::Commit(std::span<const char> keep) {
   if (!retain_survivors_) return;
-  for (size_t i = 0; i < rows_used_; ++i) {
+  // While retaining, every arrival pooled its row.
+  const std::span<const double> rows = observations();
+  const std::span<const char> poison = is_poison();
+  const size_t dims = ObsWidth();
+  for (size_t i = 0; i * dims < rows.size(); ++i) {
     if (keep[i]) {
-      const double* row = row_data_.data() + i * dims_;
-      retained_.rows.emplace_back(row, row + dims_);
+      const double* row = rows.data() + i * dims;
+      retained_.rows.emplace_back(row, row + dims);
       if (labeled_) retained_.labels.push_back(labels_[i]);
-      retained_is_poison_.push_back(is_poison_[i]);
+      retained_is_poison_.push_back(poison[i]);
     }
   }
 }

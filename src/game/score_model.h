@@ -18,12 +18,19 @@
 // A ScoreModel plugs into TrimmingSession (game/session.h), which owns the
 // round loop. Models also own the retained (sanitized) output of a run.
 //
-// Round surface: the engine adds a round's benign arrivals in one virtual
-// call (`AppendBenignBatch`) and its poison one payload at a time
-// (`AppendPoison`, positioned by the adversary when there is one); the
-// round's scores and poison flags come back as spans over model-owned
-// storage. Benign rows are scored on their first draw and cached per
-// source row; batched `ScoreInto`, backed by the dispatched kernels
+// Round surface: the round's arrival buffer lives in the ScoreModel base,
+// not in each model. The base owns one score vector, one poison-flag
+// vector, one flat observation pool of ObsWidth() doubles per row (handed
+// out by NextRowSlot()) and one benign draw-index scratch (filled by
+// DrawBenignIndices() over Rng::FillUniformInt); BeginRound() empties them
+// all. The engine adds a round's benign arrivals in one virtual call
+// (`AppendBenignBatch`) and its poison one payload at a time
+// (`AppendPoison`, positioned by the adversary when there is one); a model
+// writes each arrival's score into the base buffer and pools a row only
+// when something reads it. The round's scores, poison flags and pooled
+// rows come back as spans over that buffer. A model keeps only what
+// differs between settings: how it draws, scores and poisons, and its
+// retained store. Batched `ScoreInto`, backed by the dispatched kernels
 // (game/kernels.h), scores a block of flat observations with no
 // per-observation virtual call (paperbench's score probe,
 // bench_micro_score and the differential tests use it).
@@ -59,7 +66,8 @@
 
 namespace itrim {
 
-/// \brief Data-setting plugin of the TrimmingSession round loop.
+/// \brief Data-setting plugin of the TrimmingSession round loop, and owner
+/// of the round's arrival buffer.
 ///
 /// The engine drives one model through a fixed sequence per round:
 /// BeginRound → AppendBenignBatch → PrepareInjection → AppendPoison per
@@ -68,6 +76,13 @@ namespace itrim {
 /// Implementations must consume the engine RNG only inside these hooks, in
 /// this order — the batch adapters' bit-identity guarantee rests on the RNG
 /// call sequence matching the seed implementation exactly.
+///
+/// BeginRound, scores(), is_poison(), observations() and ObsWidth() are
+/// base members over one buffer (header block above): the scores and
+/// poison flags of every arrival, and the flat rows a model chooses to
+/// pool. Implementations fill it through the protected AppendScore,
+/// NextRowSlot and DrawBenignIndices; the buffer only grows, so a warm
+/// round reuses it without touching the heap.
 class ScoreModel {
  public:
   virtual ~ScoreModel() = default;
@@ -94,8 +109,9 @@ class ScoreModel {
   /// right total; models with a fixed per-round head count override.
   virtual size_t PoisonCount(const GameConfig& config, double* quota) const;
 
-  /// \brief Starts an empty round buffer (`expected` is a reserve hint).
-  virtual void BeginRound(size_t expected) = 0;
+  /// \brief Empties the round buffer (`expected` is a reserve hint for the
+  /// scores and poison flags).
+  void BeginRound(size_t expected);
 
   /// \brief Appends `count` benign payloads drawn from the data source —
   /// one virtual call for the whole arrival batch.
@@ -131,27 +147,30 @@ class ScoreModel {
 
   /// \brief Scores of the current round (benign then poison, arrival
   /// order), in the shared percentile-comparable coordinate. A view into
-  /// model-owned storage, valid until the next mutating call.
-  virtual std::span<const double> scores() const = 0;
+  /// the base-owned round buffer, valid until the next mutating call.
+  std::span<const double> scores() const { return scores_; }
 
   /// \brief Poison flags parallel to scores(); same view lifetime.
-  virtual std::span<const char> is_poison() const = 0;
+  std::span<const char> is_poison() const { return is_poison_; }
 
-  /// \brief Doubles per flat observation payload (1 for scalar settings,
-  /// the row width for the distance setting).
-  virtual size_t ObsWidth() const { return 1; }
+  /// \brief Doubles per flat observation payload, fixed at construction
+  /// from the borrowed source (1 for the scalar settings, the row width
+  /// for the distance setting, features + response for the residual one).
+  size_t ObsWidth() const { return obs_width_; }
 
-  /// \brief True when observations() exposes the current round's flat
-  /// payloads. Model-in-the-loop reference policies
-  /// (game/reference_policy.h) require it; models whose payloads are
-  /// consumed on arrival keep the default.
+  /// \brief True when observations() pools every arrival of the round.
+  /// Model-in-the-loop reference policies (game/reference_policy.h)
+  /// require it; models whose payloads are consumed on arrival keep the
+  /// default.
   virtual bool ProvidesObservations() const { return false; }
 
-  /// \brief The current round's flat observation block (`scores().size() *
-  /// ObsWidth()` doubles, arrival order) for models with
-  /// ProvidesObservations() == true; empty otherwise. Same view lifetime
-  /// as scores().
-  virtual std::span<const double> observations() const { return {}; }
+  /// \brief The current round's pooled rows (ObsWidth() doubles each,
+  /// arrival order): `scores().size() * ObsWidth()` doubles for models
+  /// with ProvidesObservations() == true; other models pool only the rows
+  /// they need themselves, if any. Same view lifetime as scores().
+  std::span<const double> observations() const {
+    return {obs_pool_.data(), rows_used_ * obs_width_};
+  }
 
   /// \brief Batched scoring: `obs` holds `out.size()` flat observations of
   /// ObsWidth() doubles each; writes one score per observation. The
@@ -204,6 +223,9 @@ class ScoreModel {
   bool retain_survivors() const { return retain_survivors_; }
 
  protected:
+  /// `obs_width` is ObsWidth() for the model's lifetime.
+  explicit ScoreModel(size_t obs_width) : obs_width_(obs_width) {}
+
   /// \brief Scores one flat observation payload of ObsWidth() doubles —
   /// the model's scoring *definition*, which both public paths must match
   /// bit for bit. Protected: external callers go through ScoreIntoScalar
@@ -214,7 +236,36 @@ class ScoreModel {
   Status CheckScoreSpans(std::span<const double> obs,
                          std::span<double> out) const;
 
+  /// \brief Appends one arrival's score and poison flag to the round.
+  void AppendScore(double score, bool poison) {
+    scores_.push_back(score);
+    is_poison_.push_back(poison ? 1 : 0);
+  }
+
+  /// \brief Next reusable row slot (ObsWidth() doubles) in the flat pool:
+  /// the pool only grows, and rows_used_ counts the slots the current
+  /// round occupies, so a warm round re-fills existing storage.
+  std::span<double> NextRowSlot() {
+    const size_t needed = (rows_used_ + 1) * obs_width_;
+    if (obs_pool_.size() < needed) obs_pool_.resize(needed);
+    return {obs_pool_.data() + rows_used_++ * obs_width_, obs_width_};
+  }
+
+  /// \brief Draws a round's `count` benign source indices below `n` in
+  /// one Rng::FillUniformInt call (the same draws as `count` successive
+  /// UniformInt(n) calls), into reused scratch.
+  std::span<const uint64_t> DrawBenignIndices(uint64_t n, size_t count,
+                                              Rng* rng);
+
   bool retain_survivors_ = true;
+
+ private:
+  size_t obs_width_;
+  std::vector<double> scores_;
+  std::vector<char> is_poison_;
+  std::vector<double> obs_pool_;  ///< rows_used_ x obs_width_, row-major
+  size_t rows_used_ = 0;
+  std::vector<uint64_t> index_scratch_;
 };
 
 /// \brief Scalar (1-D) setting: scores are the values themselves.
@@ -228,12 +279,9 @@ class IdentityScoreModel : public ScoreModel {
   Status BeginRun() override;
   Status Bootstrap(size_t bootstrap_size, Rng* rng,
                    PublicBoard* board) override;
-  void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  std::span<const double> scores() const override { return values_; }
-  std::span<const char> is_poison() const override { return is_poison_; }
   Status ScoreInto(std::span<const double> obs,
                    std::span<double> out) const override;
   void Commit(std::span<const char> keep) override;
@@ -250,9 +298,6 @@ class IdentityScoreModel : public ScoreModel {
 
  private:
   const std::vector<double>* benign_pool_;
-  std::vector<double> values_;
-  std::vector<char> is_poison_;
-  std::vector<uint64_t> index_scratch_;  ///< batched benign-draw indices
   std::vector<double> retained_;
   std::vector<char> retained_is_poison_;
 };
@@ -260,9 +305,9 @@ class IdentityScoreModel : public ScoreModel {
 /// \brief Multi-dimensional setting: rows scored by PositionMap percentile
 /// positions; poison fabricated along a shared per-round direction.
 ///
-/// Round rows live in one flat pool (`row_data_`, row-major, ObsWidth()
-/// doubles per row), so a warm round reuses the pool without touching the
-/// heap.
+/// Round rows go to the base's flat pool only while retaining survivors:
+/// Commit() is their one reader, so a streaming session that retains
+/// nothing never copies a benign row.
 class DistanceScoreModel : public ScoreModel {
  public:
   /// `source` is borrowed; provides benign rows (labels kept when present).
@@ -273,7 +318,6 @@ class DistanceScoreModel : public ScoreModel {
   Status BeginRun() override;
   Status Bootstrap(size_t bootstrap_size, Rng* rng,
                    PublicBoard* board) override;
-  void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
   void PrepareInjection(Rng* rng) override;
   /// Positions above 1 extrapolate beyond the observed domain (the
@@ -281,9 +325,6 @@ class DistanceScoreModel : public ScoreModel {
   double InjectionCap() const override { return 1.5; }
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  std::span<const double> scores() const override { return scores_; }
-  std::span<const char> is_poison() const override { return is_poison_; }
-  size_t ObsWidth() const override;
   Status ScoreInto(std::span<const double> obs,
                    std::span<double> out) const override;
   Status TrimAtReference(double percentile, const PublicBoard& board,
@@ -307,16 +348,8 @@ class DistanceScoreModel : public ScoreModel {
   double ScoreObservation(std::span<const double> obs) const override;
 
  private:
-  /// Next reusable round-row slot in the flat pool: row_data_ only grows,
-  /// and rows_used_ counts the slots the current round occupies, so a warm
-  /// round re-fills existing storage instead of allocating. (Rows are only
-  /// materialized when retaining; a streaming session that retains nothing
-  /// never touches the pool for benign arrivals.)
-  std::span<double> NextRowSlot();
-
   const Dataset* source_;
   bool labeled_ = false;
-  size_t dims_ = 0;
   PositionMap position_map_;
   std::vector<double> centroid_;
   std::vector<double> direction_;
@@ -330,12 +363,7 @@ class DistanceScoreModel : public ScoreModel {
   /// true score is NaN just recomputes the same value.
   std::vector<double> source_scores_;
   std::vector<double> poison_row_scratch_;  ///< poison row when not retaining
-  std::vector<double> row_data_;  ///< flat SoA row pool, rows_used_ x dims_
-  size_t rows_used_ = 0;
-  std::vector<uint64_t> index_scratch_;  ///< batched benign-draw indices
-  std::vector<int> labels_;
-  std::vector<double> scores_;
-  std::vector<char> is_poison_;
+  std::vector<int> labels_;  ///< the round's labels, parallel to scores()
   Dataset retained_;
   std::vector<char> retained_is_poison_;
 };

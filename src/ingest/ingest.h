@@ -241,7 +241,9 @@ class IngestService {
   std::vector<std::unique_ptr<Shard>> shards_;
   /// One lane per fleet tenant, indexed by tenant id; rebuilt at Start().
   std::vector<TenantLane> lanes_;
-  bool started_ = false;
+  /// Written by Start()/Stop() on the owner thread, read by every producer
+  /// at the top of Submit() (shards_ is empty before Start()).
+  std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   Status stop_status_;
 

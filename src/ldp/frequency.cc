@@ -7,8 +7,7 @@
 namespace itrim {
 
 OueOracle::OueOracle(size_t domain, double epsilon)
-    : domain_(domain), epsilon_(epsilon),
-      q_(1.0 / (std::exp(epsilon) + 1.0)) {}
+    : domain_(domain), q_(1.0 / (std::exp(epsilon) + 1.0)) {}
 
 Result<OueOracle> OueOracle::Make(size_t domain, double epsilon) {
   if (domain < 2) return Status::InvalidArgument("domain must be >= 2");

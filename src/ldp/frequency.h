@@ -33,7 +33,6 @@ class OueOracle {
   /// Requires domain >= 2 and epsilon > 0.
   static Result<OueOracle> Make(size_t domain, double epsilon);
 
-  double epsilon() const { return epsilon_; }
   size_t domain() const { return domain_; }
 
   /// \brief Perturbs one item into a report.
@@ -47,14 +46,12 @@ class OueOracle {
   std::vector<double> Estimate(const std::vector<size_t>& bit_counts,
                                size_t n) const;
 
-  double p() const { return 0.5; }
   double q() const { return q_; }
 
  private:
   OueOracle(size_t domain, double epsilon);
 
   size_t domain_;
-  double epsilon_;
   double q_;
 };
 

@@ -33,28 +33,19 @@ size_t LdpReportScoreModel::PoisonCount(const GameConfig& config,
       config.attack_ratio * static_cast<double>(config.round_size)));
 }
 
-void LdpReportScoreModel::BeginRound(size_t expected) {
-  reports_.clear();
-  is_poison_.clear();
-  reports_.reserve(expected);
-  is_poison_.reserve(expected);
-}
-
 void LdpReportScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
   // Each report consumes draw-then-perturb on the engine stream; the
   // mechanism's RNG use is data-dependent, so this loop is the batch (the
   // single virtual call is the round-level win, not intra-loop SIMD).
   for (size_t i = 0; i < count; ++i) {
     double x = (*population_)[rng->UniformInt(population_->size())];
-    reports_.push_back(mechanism_->Perturb(x, rng));
-    is_poison_.push_back(0);
+    AppendScore(mechanism_->Perturb(x, rng), false);
   }
 }
 
 Status LdpReportScoreModel::AppendPoison(double /*position*/, Rng* rng,
                                          const PublicBoard& /*board*/) {
-  reports_.push_back(attack_->PoisonReport(*mechanism_, rng));
-  is_poison_.push_back(1);
+  AppendScore(attack_->PoisonReport(*mechanism_, rng), true);
   return Status::OK();
 }
 
@@ -81,7 +72,7 @@ double LdpReportScoreModel::InjectionSignal(const PublicBoard& board,
   if (tail_cut.ok()) {
     double sum = 0.0;
     size_t count = 0;
-    for (double v : reports_) {
+    for (double v : scores()) {
       if (v > *tail_cut) {
         sum += v;
         ++count;
@@ -99,19 +90,21 @@ Status LdpReportScoreModel::TrimAtReference(double percentile,
                                             TrimOutcome* out) {
   ITRIM_ASSIGN_OR_RETURN(double upper_cut, board.Quantile(percentile));
   ITRIM_ASSIGN_OR_RETURN(double lower_cut, board.Quantile(1.0 - percentile));
+  const std::span<const double> reports = scores();
   out->cutoff = upper_cut;
-  out->keep.resize(reports_.size());
-  out->kept_count = kernels::MaskInBand(reports_.data(), reports_.size(),
+  out->keep.resize(reports.size());
+  out->kept_count = kernels::MaskInBand(reports.data(), reports.size(),
                                         lower_cut, upper_cut,
                                         out->keep.data());
-  out->removed_count = reports_.size() - out->kept_count;
+  out->removed_count = reports.size() - out->kept_count;
   return Status::OK();
 }
 
 void LdpReportScoreModel::Commit(std::span<const char> keep) {
   if (!retain_survivors_) return;
-  for (size_t i = 0; i < reports_.size(); ++i) {
-    if (keep[i]) retained_.push_back(reports_[i]);
+  const std::span<const double> reports = scores();
+  for (size_t i = 0; i < reports.size(); ++i) {
+    if (keep[i]) retained_.push_back(reports[i]);
   }
 }
 

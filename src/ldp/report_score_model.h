@@ -41,8 +41,8 @@ class LdpReportScoreModel : public ScoreModel {
   LdpReportScoreModel(const std::vector<double>* population,
                       const LdpMechanism* mechanism, LdpAttack* attack,
                       double tth)
-      : population_(population), mechanism_(mechanism), attack_(attack),
-        tth_(tth) {}
+      : ScoreModel(1), population_(population), mechanism_(mechanism),
+        attack_(attack), tth_(tth) {}
 
   std::string name() const override { return "ldp_report"; }
   uint64_t BoardSeedSalt() const override { return 0x1234567ULL; }
@@ -53,14 +53,11 @@ class LdpReportScoreModel : public ScoreModel {
   Status Bootstrap(size_t bootstrap_size, Rng* rng,
                    PublicBoard* board) override;
   size_t PoisonCount(const GameConfig& config, double* quota) const override;
-  void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
   /// Ignores `position` (NaN: the session runs without an adversary) and
   /// appends the attack's next poison report.
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  std::span<const double> scores() const override { return reports_; }
-  std::span<const char> is_poison() const override { return is_poison_; }
   Status ScoreInto(std::span<const double> obs,
                    std::span<double> out) const override;
   double InjectionSignal(const PublicBoard& board,
@@ -80,8 +77,6 @@ class LdpReportScoreModel : public ScoreModel {
   const LdpMechanism* mechanism_;
   LdpAttack* attack_;
   double tth_;
-  std::vector<double> reports_;
-  std::vector<char> is_poison_;
   std::vector<double> retained_;
 };
 

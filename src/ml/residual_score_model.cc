@@ -13,7 +13,9 @@ const char* PoisonShapeName(PoisonShape shape) {
 
 ResidualScoreModel::ResidualScoreModel(const RegressionData* source,
                                        PoisonShape shape)
-    : source_(source), shape_(shape) {}
+    : ScoreModel(source != nullptr && source->dims > 0 ? source->dims + 1 : 0),
+      source_(source),
+      shape_(shape) {}
 
 Status ResidualScoreModel::BeginRun() {
   if (source_ == nullptr || source_->size() == 0) {
@@ -26,7 +28,10 @@ Status ResidualScoreModel::BeginRun() {
     return Status::FailedPrecondition(
         "source regression data shape mismatch");
   }
-  width_ = source_->dims + 1;
+  if (source_->dims + 1 != ObsWidth()) {
+    return Status::FailedPrecondition(
+        "source dims changed since the model was built");
+  }
   retained_ = RegressionData{};
   retained_.name = source_->name + "/retained";
   retained_.dims = source_->dims;
@@ -93,26 +98,10 @@ double ResidualScoreModel::AbsResidual(const double* x, size_t dims,
   return std::fabs(y - prediction);
 }
 
-void ResidualScoreModel::BeginRound(size_t expected) {
-  rows_used_ = 0;
-  scores_.clear();
-  is_poison_.clear();
-  scores_.reserve(expected);
-  is_poison_.reserve(expected);
-}
-
-std::span<double> ResidualScoreModel::NextRowSlot() {
-  const size_t needed = (rows_used_ + 1) * width_;
-  if (row_data_.size() < needed) row_data_.resize(needed);
-  return std::span<double>(row_data_.data() + rows_used_++ * width_, width_);
-}
-
 void ResidualScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
-  index_scratch_.resize(count);
-  rng->FillUniformInt(source_->size(), index_scratch_.data(), count);
-  const size_t dims = width_ - 1;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t idx = static_cast<size_t>(index_scratch_[i]);
+  const size_t dims = source_->dims;
+  for (uint64_t draw : DrawBenignIndices(source_->size(), count, rng)) {
+    const size_t idx = static_cast<size_t>(draw);
     // Rows are always materialized: observations() must expose the round
     // for model-in-the-loop trim references regardless of retention.
     const double* x = source_->xs.data() + idx * dims;
@@ -120,8 +109,7 @@ void ResidualScoreModel::AppendBenignBatch(size_t count, Rng* rng) {
     std::span<double> slot = NextRowSlot();
     std::copy(x, x + dims, slot.begin());
     slot[dims] = y;
-    scores_.push_back(AbsResidual(x, dims, y));
-    is_poison_.push_back(0);
+    AppendScore(AbsResidual(x, dims, y), false);
   }
 }
 
@@ -146,21 +134,15 @@ Status ResidualScoreModel::AppendPoison(double position, Rng* rng,
     idx = leverage_row_;
     sign = 1.0;
   }
-  const size_t dims = width_ - 1;
+  const size_t dims = source_->dims;
   const double* x = source_->xs.data() + idx * dims;
   std::span<double> slot = NextRowSlot();
   std::copy(x, x + dims, slot.begin());
   slot[dims] = reference_.Predict({x, dims}) + sign * magnitude;
   // Score through the scalar definition — the same LaneDot evaluation as
   // the benign rows and the batched kernel.
-  scores_.push_back(ScoreObservation(slot));
-  is_poison_.push_back(1);
+  AppendScore(ScoreObservation(slot), true);
   return Status::OK();
-}
-
-size_t ResidualScoreModel::ObsWidth() const {
-  if (width_ > 0) return width_;
-  return source_ != nullptr && source_->dims > 0 ? source_->dims + 1 : 0;
 }
 
 double ResidualScoreModel::ScoreObservation(
@@ -180,13 +162,16 @@ Status ResidualScoreModel::ScoreInto(std::span<const double> obs,
 
 void ResidualScoreModel::Commit(std::span<const char> keep) {
   if (!retain_survivors_) return;
-  const size_t dims = width_ - 1;
-  for (size_t i = 0; i < rows_used_; ++i) {
+  const std::span<const double> rows = observations();
+  const std::span<const char> poison = is_poison();
+  const size_t width = ObsWidth();
+  const size_t dims = width - 1;
+  for (size_t i = 0; i < poison.size(); ++i) {
     if (!keep[i]) continue;
-    const double* row = row_data_.data() + i * width_;
+    const double* row = rows.data() + i * width;
     retained_.xs.insert(retained_.xs.end(), row, row + dims);
     retained_.ys.push_back(row[dims]);
-    retained_is_poison_.push_back(is_poison_[i]);
+    retained_is_poison_.push_back(poison[i]);
   }
 }
 

@@ -11,8 +11,8 @@
 // flip-and-shift attack shape); the leverage variant plants it on the
 // highest-leverage feature row instead of a random one.
 //
-// The model always materializes its round rows in a flat pooled block and
-// exposes them through observations(): that is what lets a
+// The model always pools its round rows in the base's flat observation pool,
+// so observations() exposes the whole round: that is what lets a
 // FittedModelReference (game/reference_policy.h) refit on the round's
 // survivors — the model-in-the-loop generalization of the interactive
 // protocol. With the default PercentileReference the model behaves like
@@ -70,20 +70,13 @@ class ResidualScoreModel : public ScoreModel {
   Status BeginRun() override;
   Status Bootstrap(size_t bootstrap_size, Rng* rng,
                    PublicBoard* board) override;
-  void BeginRound(size_t expected) override;
   void AppendBenignBatch(size_t count, Rng* rng) override;
   /// Positions above 1 extrapolate beyond the observed residual range (the
   /// adversary may fabricate residuals larger than any clean one).
   double InjectionCap() const override { return 1.5; }
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  std::span<const double> scores() const override { return scores_; }
-  std::span<const char> is_poison() const override { return is_poison_; }
-  size_t ObsWidth() const override;
   bool ProvidesObservations() const override { return true; }
-  std::span<const double> observations() const override {
-    return {row_data_.data(), rows_used_ * width_};
-  }
   Status ScoreInto(std::span<const double> obs,
                    std::span<double> out) const override;
   void Commit(std::span<const char> keep) override;
@@ -103,8 +96,6 @@ class ResidualScoreModel : public ScoreModel {
   double ScoreObservation(std::span<const double> obs) const override;
 
  private:
-  /// Next reusable [x..., y] slot in the flat round pool (grow-only).
-  std::span<double> NextRowSlot();
   /// |y - yhat| of one observation against the reference fit: the scalar
   /// definition that the batched AbsResidualsToModel kernel matches bit for
   /// bit.
@@ -112,17 +103,11 @@ class ResidualScoreModel : public ScoreModel {
 
   const RegressionData* source_;
   PoisonShape shape_;
-  size_t width_ = 0;  ///< dims + 1, fixed by BeginRun()
   LinearRegressor regressor_;
   LinearModel reference_;
   /// argmax feature distance to the source mean (lowest index on ties);
   /// computed by Bootstrap() only under PoisonShape::kLeverage.
   size_t leverage_row_ = 0;
-  std::vector<double> row_data_;         ///< flat round pool, width_ per row
-  size_t rows_used_ = 0;
-  std::vector<uint64_t> index_scratch_;  ///< batched benign-draw indices
-  std::vector<double> scores_;
-  std::vector<char> is_poison_;
   RegressionData retained_;
   std::vector<char> retained_is_poison_;
 };

@@ -82,13 +82,5 @@ TEST(SampleWithReplacementTest, SizeAndMembership) {
   }
 }
 
-TEST(AppendTest, ConcatenatesRowsAndLabels) {
-  Dataset a = MakeTiny();
-  Dataset b = MakeTiny();
-  Append(&a, b);
-  EXPECT_EQ(a.size(), 6u);
-  EXPECT_EQ(a.labels.size(), 6u);
-}
-
 }  // namespace
 }  // namespace itrim

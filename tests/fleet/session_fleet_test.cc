@@ -152,21 +152,20 @@ class SessionFleetTest : public ::testing::Test {
 };
 
 // --------------------------------------------------------------------------
-// Determinism: 1 thread vs N threads, and vs shard-size choices
+// Determinism: 1 thread vs N threads
 // --------------------------------------------------------------------------
 
 TEST_F(SessionFleetTest, OneVsManyThreadsBitIdentical) {
-  auto run = [&](int threads, int shard_size) {
+  auto run = [&](int threads) {
     FleetConfig config;
     config.rounds = 6;
     config.threads = threads;
-    config.shard_size = shard_size;
     config.seed = 77;
     SessionFleet fleet(config, HeterogeneousSpecs(24));
     return RunFleet(&fleet);
   };
-  const FleetRun serial = run(1, 0);
-  for (const FleetRun& other : {run(4, 0), run(3, 1), run(4, 1000)}) {
+  const FleetRun serial = run(1);
+  for (const FleetRun& other : {run(4), run(3), run(2)}) {
     ExpectFleetSummaryBitIdentical(serial.summary, other.summary);
     ExpectAggregatesBitIdentical(serial.aggregates, other.aggregates);
   }
@@ -445,9 +444,6 @@ TEST_F(SessionFleetTest, RejectsEachInvalidFleetConfigField) {
   config = FleetConfig{};
   config.threads = -1;
   expect_rejected(config, "threads");
-  config = FleetConfig{};
-  config.shard_size = -1;
-  expect_rejected(config, "shard_size");
 
   EXPECT_TRUE(FleetConfig{}.Validate().ok());
 }

@@ -357,11 +357,16 @@ void ExpectTrimMatchesSeed(FittedModelReference* reference, double percentile,
 // placeholders and the data-source hooks do nothing.
 class HandBuiltRoundModel : public ScoreModel {
  public:
-  void SetRound(std::vector<double> rows, size_t width) {
-    rows_ = std::move(rows);
-    width_ = width;
-    scores_.assign(rows_.size() / width, 0.0);
-    is_poison_.assign(scores_.size(), 0);
+  explicit HandBuiltRoundModel(size_t width) : ScoreModel(width) {}
+
+  void SetRound(const std::vector<double>& rows) {
+    const size_t width = ObsWidth();
+    BeginRound(rows.size() / width);
+    for (size_t at = 0; at < rows.size(); at += width) {
+      std::span<double> slot = NextRowSlot();
+      std::copy(rows.begin() + at, rows.begin() + at + width, slot.begin());
+      AppendScore(0.0, false);
+    }
   }
 
   std::string name() const override { return "hand_built"; }
@@ -370,28 +375,17 @@ class HandBuiltRoundModel : public ScoreModel {
   Status Bootstrap(size_t, Rng*, PublicBoard*) override {
     return Status::OK();
   }
-  void BeginRound(size_t) override {}
   void AppendBenignBatch(size_t, Rng*) override {}
   Status AppendPoison(double, Rng*, const PublicBoard&) override {
     return Status::FailedPrecondition("hand-built rounds take no poison");
   }
-  std::span<const double> scores() const override { return scores_; }
-  std::span<const char> is_poison() const override { return is_poison_; }
-  size_t ObsWidth() const override { return width_; }
   bool ProvidesObservations() const override { return true; }
-  std::span<const double> observations() const override { return rows_; }
   void Commit(std::span<const char>) override {}
 
  protected:
   double ScoreObservation(std::span<const double>) const override {
     return 0.0;
   }
-
- private:
-  std::vector<double> rows_;
-  size_t width_ = 1;
-  std::vector<double> scores_;
-  std::vector<char> is_poison_;
 };
 
 // One round of hand-built rows of `dims` features plus the response; the
@@ -403,11 +397,11 @@ struct HandBuiltRound {
   size_t dims;
 
   explicit HandBuiltRound(size_t dims)
-      : source(MakeSyntheticRegression(200, dims, 0.1, 31)), dims(dims) {}
+      : source(MakeSyntheticRegression(200, dims, 0.1, 31)),
+        model(dims + 1),
+        dims(dims) {}
 
-  void Play(const std::vector<double>& rows) {
-    model.SetRound(rows, dims + 1);
-  }
+  void Play(const std::vector<double>& rows) { model.SetRound(rows); }
 };
 
 // The paper's residual shape (round 500, bootstrap 500, attack 0.1, three

@@ -11,13 +11,15 @@
 //      across every scheme and data setting.
 //
 // Plus the span plumbing around them: mismatched spans are rejected with
-// InvalidArgument, and scores()/is_poison() stay parallel views.
+// InvalidArgument, scores()/is_poison() stay parallel views, and every model
+// kind fills the base-owned round buffer the same way.
 #include "game/score_model.h"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "ldp/attacks.h"
 #include "ldp/mechanism.h"
 #include "ldp/report_score_model.h"
+#include "ml/residual_score_model.h"
 
 #include "game/summary_test_util.h"
 
@@ -156,6 +159,68 @@ TEST(ScoreIntoSpanCheckTest, MismatchedSpansAreInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
+// The round buffer lives in the ScoreModel base, and each model kind fills
+// it through the same members: ObsWidth() is fixed at construction, one
+// played round leaves one score and one poison flag per arrival, and only
+// the residual model (which always pools its rows) exposes observations.
+// The distance model here retains nothing, so it pools no row.
+TEST(BaseRoundBufferTest, EveryModelKindFillsTheBaseBuffer) {
+  const std::vector<double> pool = UniformPool(500, 3);
+  const Dataset data = MakeControl(35, 40);
+  const RegressionData regression = MakeSyntheticRegression(400, 3, 0.1, 19);
+  PiecewiseMechanism mechanism(2.0);
+  InputManipulationAttack attack(1.0);
+  GameConfig config;
+  config.round_size = 80;
+  config.attack_ratio = 0.2;
+  config.bootstrap_size = 100;
+  config.seed = 99;
+
+  struct Kind {
+    std::unique_ptr<ScoreModel> model;
+    size_t width;
+    bool residual;
+  };
+  std::vector<Kind> kinds;
+  kinds.push_back({std::make_unique<IdentityScoreModel>(&pool), 1, false});
+  kinds.push_back({std::make_unique<DistanceScoreModel>(&data), data.dims(),
+                   false});
+  kinds.back().model->set_retain_survivors(false);
+  kinds.push_back({std::make_unique<LdpReportScoreModel>(
+                       &pool, &mechanism, &attack, config.tth),
+                   1, false});
+  kinds.push_back({std::make_unique<ResidualScoreModel>(&regression),
+                   regression.dims + 1, true});
+
+  for (Kind& kind : kinds) {
+    ScoreModel& model = *kind.model;
+    SCOPED_TRACE(model.name());
+    EXPECT_EQ(model.ObsWidth(), kind.width);
+    ElasticCollector collector(0.1);
+    ElasticAdversary adversary(0.1);
+    TrimmingSession session(
+        config, &model, &collector,
+        model.RequiresAdversaryPositions() ? &adversary : nullptr, nullptr);
+    ASSERT_TRUE(session.Bootstrap().ok());  // runs BeginRun()
+    EXPECT_EQ(model.ObsWidth(), kind.width);
+
+    auto record = session.Step();
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    const size_t poison = record.ValueOrDie().poison_received;
+    EXPECT_GT(poison, 0u);
+    const size_t arrivals = config.round_size + poison;
+    ASSERT_EQ(model.scores().size(), arrivals);
+    ASSERT_EQ(model.is_poison().size(), arrivals);
+    size_t flagged = 0;
+    for (char flag : model.is_poison()) flagged += flag != 0 ? 1 : 0;
+    EXPECT_EQ(flagged, poison);
+
+    EXPECT_EQ(model.ProvidesObservations(), kind.residual);
+    EXPECT_EQ(model.observations().size(),
+              kind.residual ? arrivals * kind.width : 0u);
+  }
+}
+
 // Source-row scores are filled on a row's first draw. The round's benign
 // draws are the first RNG consumer of Step(), so replaying the pre-step
 // stream state recovers the rows; their scores must equal one batched
@@ -241,6 +306,22 @@ TEST(DistanceRaggedSourceTest, BootstrapRejectsRaggedSource) {
     EXPECT_EQ(session.Bootstrap().code(), StatusCode::kInvalidArgument);
     EXPECT_FALSE(session.Step().ok());
   }
+}
+
+// ObsWidth() is fixed from the borrowed source at construction, and rows
+// are read in place at that width: a source reshaped before BeginRun() is
+// refused instead of read at the old width.
+TEST(SourceWidthTest, BeginRunRefusesASourceReshapedAfterConstruction) {
+  Dataset data = MakeControl(53, 30);
+  DistanceScoreModel distance(&data);
+  for (auto& row : data.rows) row.resize(3);
+  EXPECT_EQ(distance.BeginRun().code(), StatusCode::kFailedPrecondition);
+
+  RegressionData regression = MakeSyntheticRegression(100, 3, 0.1, 19);
+  ResidualScoreModel residual(&regression);
+  regression.dims = 1;
+  regression.xs.resize(regression.size());
+  EXPECT_EQ(residual.BeginRun().code(), StatusCode::kFailedPrecondition);
 }
 
 // The headline end-to-end gate: a full game stream is bit-identical under

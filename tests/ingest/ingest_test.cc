@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -489,6 +490,62 @@ TEST_F(IngestServiceTest, StopDrainsPendingEvents) {
   // No Flush: Stop itself must apply the backlog before joining.
   ASSERT_TRUE(service.Stop().ok());
   EXPECT_EQ(fleet.TenantRounds(0).ValueOrDie().size(), 3u);
+}
+
+// Submit() is safe from any number of producer threads, Stop() included:
+// producers keep submitting frames while the owner stops the service, and
+// each keeps going until it has seen a few rejections. Every call is
+// either accepted or refused as not running, and each one is counted once.
+TEST_F(IngestServiceTest, ProducersSubmitWhileTheOwnerStops) {
+  constexpr size_t kTenants = 4;
+  constexpr int kProducers = 4;
+  constexpr int kRejectionsEach = 3;
+  FleetConfig config;
+  SessionFleet fleet(config, ScalarSpecs(kTenants, /*round_size=*/40));
+  ASSERT_TRUE(fleet.Bootstrap().ok());
+
+  IngestConfig ingest;
+  ingest.shards = 2;
+  IngestService service(ingest, &fleet);
+  ASSERT_TRUE(service.Start().ok());
+
+  std::atomic<uint64_t> submitted{0};
+  std::vector<uint64_t> calls(kProducers, 0);
+  std::vector<int> unexpected(kProducers, 0);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      unsigned char frame[kIngestFrameBytes];
+      int rejections = 0;
+      for (uint64_t i = 0; rejections < kRejectionsEach; ++i) {
+        EncodeIngestEvent({(p + i) % kTenants, 1}, frame);
+        const Status status = service.SubmitFrame(frame, kIngestFrameBytes);
+        ++calls[p];
+        submitted.fetch_add(1, std::memory_order_relaxed);
+        if (status.code() == StatusCode::kFailedPrecondition) {
+          ++rejections;
+        } else if (!status.ok()) {
+          ++unexpected[p];
+        }
+      }
+    });
+  }
+  // Stop once the producers are well under way.
+  while (submitted.load(std::memory_order_relaxed) < 2000) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(service.Stop().ok());
+  for (std::thread& producer : producers) producer.join();
+
+  uint64_t total = 0;
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(unexpected[p], 0) << "producer " << p;
+    total += calls[p];
+  }
+  const IngestStats stats = service.Stats();
+  EXPECT_EQ(stats.events_accepted + stats.events_rejected, total);
+  EXPECT_GE(stats.events_rejected,
+            static_cast<uint64_t>(kProducers * kRejectionsEach));
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST(ResidualScoreModelTest, BatchScoringEqualsScalarAcrossSizesAndVariants) {
 class InterleavedReplicaModel : public ScoreModel {
  public:
   InterleavedReplicaModel(const RegressionData* source, PoisonShape shape)
-      : source_(source), shape_(shape) {}
+      : ScoreModel(source->dims + 1), source_(source), shape_(shape) {}
 
   std::string name() const override { return "residual_replica"; }
   uint64_t BoardSeedSalt() const override { return 0x94D049BB133111EBULL; }
@@ -145,14 +145,6 @@ class InterleavedReplicaModel : public ScoreModel {
     return Status::OK();
   }
 
-  void BeginRound(size_t expected) override {
-    rows_used_ = 0;
-    scores_.clear();
-    is_poison_.clear();
-    scores_.reserve(expected);
-    is_poison_.reserve(expected);
-  }
-
   void AppendBenignBatch(size_t count, Rng* rng) override {
     std::vector<uint64_t> indices(count);
     rng->FillUniformInt(source_->size(), indices.data(), count);
@@ -160,8 +152,7 @@ class InterleavedReplicaModel : public ScoreModel {
       const double* row = flat_rows_.data() + idx * width_;
       std::span<double> slot = NextRowSlot();
       std::copy(row, row + width_, slot.begin());
-      scores_.push_back(source_scores_[idx]);
-      is_poison_.push_back(0);
+      AppendScore(source_scores_[idx], false);
     }
   }
 
@@ -190,31 +181,25 @@ class InterleavedReplicaModel : public ScoreModel {
     std::span<double> slot = NextRowSlot();
     std::copy(x, x + dims, slot.begin());
     slot[dims] = reference_.Predict({x, dims}) + sign * magnitude;
-    scores_.push_back(ScoreObservation(slot));
-    is_poison_.push_back(1);
+    AppendScore(ScoreObservation(slot), true);
     return Status::OK();
   }
 
-  std::span<const double> scores() const override { return scores_; }
-  std::span<const char> is_poison() const override { return is_poison_; }
-  size_t ObsWidth() const override { return source_->dims + 1; }
   bool ProvidesObservations() const override { return true; }
-  std::span<const double> observations() const override {
-    return {row_data_.data(), rows_used_ * width_};
-  }
 
   Status TrimAtReference(double percentile, const PublicBoard& board,
                          TrimOutcome* out) override {
     ITRIM_ASSIGN_OR_RETURN(double cutoff, board.Quantile(percentile));
-    TrimAboveValueInto(scores_, cutoff, out);
+    TrimAboveValueInto(scores(), cutoff, out);
     return Status::OK();
   }
 
   void Commit(std::span<const char> keep) override {
+    const std::span<const double> rows = observations();
     const size_t dims = width_ - 1;
-    for (size_t i = 0; i < rows_used_; ++i) {
+    for (size_t i = 0; i < scores().size(); ++i) {
       if (!keep[i]) continue;
-      const double* row = row_data_.data() + i * width_;
+      const double* row = rows.data() + i * width_;
       retained_.xs.insert(retained_.xs.end(), row, row + dims);
       retained_.ys.push_back(row[dims]);
     }
@@ -233,13 +218,6 @@ class InterleavedReplicaModel : public ScoreModel {
   }
 
  private:
-  std::span<double> NextRowSlot() {
-    const size_t needed = (rows_used_ + 1) * width_;
-    if (row_data_.size() < needed) row_data_.resize(needed);
-    return std::span<double>(row_data_.data() + rows_used_++ * width_,
-                             width_);
-  }
-
   const RegressionData* source_;
   PoisonShape shape_;
   size_t width_ = 0;
@@ -248,10 +226,6 @@ class InterleavedReplicaModel : public ScoreModel {
   std::vector<double> flat_rows_;
   std::vector<double> source_scores_;
   size_t leverage_row_ = 0;
-  std::vector<double> row_data_;
-  size_t rows_used_ = 0;
-  std::vector<double> scores_;
-  std::vector<char> is_poison_;
   RegressionData retained_;
 };
 
