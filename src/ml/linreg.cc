@@ -76,27 +76,26 @@ Status CheckRegressionData(const RegressionData& data) {
   return Status::OK();
 }
 
-}  // namespace
+// The normal equations over the augmented design [x, 1], summed in one
+// sequential pass over the rows (no kernels, no reassociation: the fit is
+// the same bits on every thread count and kernel variant). Each cell of the
+// upper triangle and of the right-hand side receives its row-order sequence
+// of adds, so how the cells are held does not change a bit. The augmented
+// 1.0 column is peeled out of the cell loop: a product with 1.0 is exact,
+// so adding x_i, y or 1.0 itself gives every cell the bits of x_i * 1.0.
+// `row_at(r)` returns {features, response} of row r, or a null feature
+// pointer when row r does not exist, which ends the pass with false.
 
-double LinearModel::Predict(std::span<const double> x) const {
-  return kernels::LaneDot(weights.data(), x.data(), weights.size()) + bias;
-}
-
+/// Any width: every cell is a load/add/store into `normal` per row.
 template <typename RowAt>
-Status LinearRegressor::SolveNormalEquations(size_t n, size_t dims,
-                                             RowAt row_at, LinearModel* out) {
-  // Normal equations over the augmented design [x, 1]: one sequential
-  // accumulation pass (no kernels, no reassociation — the fit is the same
-  // bits on every thread count and kernel variant). The augmented 1.0
-  // column is peeled out of the cell loop: a product with 1.0 is exact, so
-  // adding x_i, y or 1.0 itself gives every cell the bits of x_i * 1.0.
+bool AccumulateAnyWidth(size_t n, size_t dims, RowAt row_at, double* normal,
+                        double* rhs) {
   const size_t aug = dims + 1;
-  normal_.assign(aug * aug, 0.0);
-  rhs_.assign(aug, 0.0);
-  double* normal = normal_.data();
-  double* rhs = rhs_.data();
+  std::fill(normal, normal + aug * aug, 0.0);
+  std::fill(rhs, rhs + aug, 0.0);
   for (size_t r = 0; r < n; ++r) {
     const auto [x, y] = row_at(r);
+    if (x == nullptr) return false;
     for (size_t i = 0; i < dims; ++i) {
       const double xi = x[i];
       double* cells = normal + i * aug;
@@ -107,6 +106,73 @@ Status LinearRegressor::SolveNormalEquations(size_t n, size_t dims,
     normal[dims * aug + dims] += 1.0;
     rhs[dims] += y;
   }
+  return true;
+}
+
+/// A compile-time width: the loops unroll and every cell is a local scalar
+/// for the whole pass, stored to `normal` (upper triangle) once at the end.
+/// The inner loop runs the full width with a `j >= i` test rather than
+/// starting at i: with both trip counts constant the loops unroll before
+/// the cells are split into scalars, where a loop from i left them in
+/// memory (at 3 features, slower than the generic loop).
+template <size_t kDims, typename RowAt>
+bool AccumulateFixedWidth(size_t n, RowAt row_at, double* normal,
+                          double* rhs) {
+  constexpr size_t kAug = kDims + 1;
+  double cells[kDims][kAug] = {};  // row i uses columns i..kDims
+  double sums[kAug] = {};
+  double count = 0.0;
+  for (size_t r = 0; r < n; ++r) {
+    const auto [x, y] = row_at(r);
+    if (x == nullptr) return false;
+    for (size_t i = 0; i < kDims; ++i) {
+      for (size_t j = 0; j < kDims; ++j) {
+        if (j >= i) cells[i][j] += x[i] * x[j];
+      }
+      cells[i][kDims] += x[i];
+      sums[i] += x[i] * y;
+    }
+    count += 1.0;
+    sums[kDims] += y;
+  }
+  for (size_t i = 0; i < kDims; ++i) {
+    for (size_t j = i; j < kAug; ++j) normal[i * kAug + j] = cells[i][j];
+  }
+  normal[kDims * kAug + kDims] = count;
+  std::copy(sums, sums + kAug, rhs);
+  return true;
+}
+
+}  // namespace
+
+double LinearModel::Predict(std::span<const double> x) const {
+  return kernels::LaneDot(weights.data(), x.data(), weights.size()) + bias;
+}
+
+template <typename RowAt>
+bool LinearRegressor::AccumulateNormalEquations(size_t n, size_t dims,
+                                                RowAt row_at) {
+  const size_t aug = dims + 1;
+  normal_.resize(aug * aug);
+  rhs_.resize(aug);
+  double* normal = normal_.data();
+  double* rhs = rhs_.data();
+  switch (dims) {
+    case 1:
+      return AccumulateFixedWidth<1>(n, row_at, normal, rhs);
+    case 2:
+      return AccumulateFixedWidth<2>(n, row_at, normal, rhs);
+    case 3:
+      return AccumulateFixedWidth<3>(n, row_at, normal, rhs);
+    case 4:
+      return AccumulateFixedWidth<4>(n, row_at, normal, rhs);
+    default:
+      return AccumulateAnyWidth(n, dims, row_at, normal, rhs);
+  }
+}
+
+Status LinearRegressor::SolveNormalEquations(size_t dims, LinearModel* out) {
+  const size_t aug = dims + 1;
   // Mirror the upper triangle (the accumulation filled i <= j).
   for (size_t i = 0; i < aug; ++i) {
     for (size_t j = 0; j < i; ++j) normal_[i * aug + j] = normal_[j * aug + i];
@@ -168,12 +234,11 @@ Status LinearRegressor::FitClosedForm(std::span<const double> xs,
     return Status::InvalidArgument(
         "FitClosedForm: xs must hold ys.size() * dims doubles");
   }
-  return SolveNormalEquations(
-      n, dims,
-      [&](size_t r) {
-        return std::pair<const double*, double>(xs.data() + r * dims, ys[r]);
-      },
-      out);
+  // Every row exists, so the pass runs to the end.
+  AccumulateNormalEquations(n, dims, [&](size_t r) {
+    return std::pair<const double*, double>(xs.data() + r * dims, ys[r]);
+  });
+  return SolveNormalEquations(dims, out);
 }
 
 Status LinearRegressor::FitRowsInPlace(std::span<const double> obs,
@@ -185,19 +250,20 @@ Status LinearRegressor::FitRowsInPlace(std::span<const double> obs,
   }
   if (rows.empty()) return Status::InvalidArgument("FitRowsInPlace: no rows");
   const size_t obs_rows = obs.size() / width;
+  const size_t dims = width - 1;
+  // Each index is checked as the pass reads it.
   if (obs.size() != obs_rows * width ||
-      *std::max_element(rows.begin(), rows.end()) >= obs_rows) {
+      !AccumulateNormalEquations(rows.size(), dims, [&](size_t r) {
+        if (rows[r] >= obs_rows) {
+          return std::pair<const double*, double>(nullptr, 0.0);
+        }
+        const double* row = obs.data() + rows[r] * width;
+        return std::pair<const double*, double>(row, row[dims]);
+      })) {
     return Status::InvalidArgument(
         "FitRowsInPlace: rows must name whole rows of obs");
   }
-  const size_t dims = width - 1;
-  return SolveNormalEquations(
-      rows.size(), dims,
-      [&](size_t r) {
-        const double* row = obs.data() + rows[r] * width;
-        return std::pair<const double*, double>(row, row[dims]);
-      },
-      out);
+  return SolveNormalEquations(dims, out);
 }
 
 RegressionData MakeSyntheticRegression(size_t n, size_t dims, double noise,

@@ -49,9 +49,13 @@ struct LinearModel {
 ///
 /// The fit is deterministic: it accumulates the normal equations
 /// sequentially and solves by Gaussian elimination with partial pivoting
-/// (no RNG at all). The scratch buffers only grow, so a warm regressor
-/// refits without touching the heap — the property the model-in-the-loop
-/// trim reference leans on to keep the session round loop allocation-free.
+/// (no RNG at all). The accumulation is compiled for each width of 1 to 4
+/// features, holding every cell in a local scalar for the whole pass; wider
+/// fits take one generic loop over a scratch matrix. Both give each cell the
+/// same row-order sequence of adds, so the width a fit takes does not change
+/// its bits. The scratch buffers only grow, so a warm regressor refits
+/// without touching the heap — the property the model-in-the-loop trim
+/// reference leans on to keep the session round loop allocation-free.
 class LinearRegressor {
  public:
   /// \brief Exact least-squares fit of `n = ys.size()` flat observations
@@ -71,12 +75,20 @@ class LinearRegressor {
                         std::span<const size_t> rows, LinearModel* out);
 
  private:
-  /// Accumulates the normal equations of `n` rows, row r being
-  /// `row_at(r)` = {pointer to its dims features, its response}, and solves
-  /// them into `out`: the one body behind both closed-form entries.
+  /// Sums the normal equations of `n` rows into the upper triangle of
+  /// `normal_` and into `rhs_` in one sequential pass, row r being
+  /// `row_at(r)` = {pointer to its dims features, its response}. One
+  /// `switch` picks the pass compiled for dims 1 to 4 (cells held in
+  /// registers) or the generic loop for wider rows. Returns false, at the
+  /// first such row, when `row_at` gives a null feature pointer (a row that
+  /// does not exist); the scratch is then partial.
   template <typename RowAt>
-  Status SolveNormalEquations(size_t n, size_t dims, RowAt row_at,
-                              LinearModel* out);
+  bool AccumulateNormalEquations(size_t n, size_t dims, RowAt row_at);
+
+  /// Solves the accumulated equations into `out`: mirrors the triangle,
+  /// eliminates with partial pivoting and back-substitutes. FailedPrecondition
+  /// (with `out` untouched) when a pivot is not above 1e-12.
+  Status SolveNormalEquations(size_t dims, LinearModel* out);
 
   // Augmented-design scratch for the closed form: (dims+1)^2 normal matrix
   // plus right-hand side.
