@@ -10,8 +10,8 @@ namespace itrim {
 double SquaredDistance(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
   // The canonical distance is the kernel's fixed 4-lane association (see
-  // game/kernels.h); every call site — scalar scoring, PositionMap
-  // geometry, batched ScoreInto — therefore agrees bit for bit.
+  // game/kernels.h); every call site — row scoring, PositionMap geometry,
+  // k-means — therefore agrees bit for bit across kernel variants.
   return kernels::SquaredDistance(a.data(), b.data(), a.size());
 }
 

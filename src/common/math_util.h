@@ -14,8 +14,8 @@ inline double Clamp(double x, double lo, double hi) {
 }
 
 /// \brief Squared Euclidean distance between equal-length spans, in the
-/// library's canonical fixed 4-lane association (game/kernels.h) so scalar
-/// and batched evaluations produce bit-identical doubles.
+/// library's canonical fixed 4-lane association (game/kernels.h), so both
+/// kernel variants produce bit-identical doubles.
 double SquaredDistance(std::span<const double> a, std::span<const double> b);
 
 /// \brief Euclidean distance between equal-length spans.

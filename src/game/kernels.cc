@@ -25,8 +25,6 @@ namespace itrim::kernels {
   double LaneDot(const double* a, const double* b, size_t n);                \
   void AbsResidualsToModel(const double* rows, size_t n_rows, size_t width,  \
                            const double* weights, double bias, double* out); \
-  void DistancesToCenter(const double* rows, size_t n_rows, size_t dims,     \
-                         const double* center, double* out);                 \
   }
 ITRIM_DECLARE_KERNELS(generic)
 ITRIM_DECLARE_KERNELS(vectorized)
@@ -112,15 +110,6 @@ void AbsResidualsToModel(const double* rows, size_t n_rows, size_t width,
     vectorized::AbsResidualsToModel(rows, n_rows, width, weights, bias, out);
   } else {
     generic::AbsResidualsToModel(rows, n_rows, width, weights, bias, out);
-  }
-}
-
-void DistancesToCenter(const double* rows, size_t n_rows, size_t dims,
-                       const double* center, double* out) {
-  if (ActiveVariant() == Variant::kVector) {
-    vectorized::DistancesToCenter(rows, n_rows, dims, center, out);
-  } else {
-    generic::DistancesToCenter(rows, n_rows, dims, center, out);
   }
 }
 

@@ -1,7 +1,8 @@
-// Batched scoring kernels behind the ScoreModel v2 hot path.
+// Dispatched numeric kernels of the round protocol.
 //
-// Every per-observation loop the round protocol runs at scale — distance
-// evaluation, tail counting, trim masking — lives here as a free function
+// The inner loops the engine runs at scale — the canonical distance and
+// dot product that every score is built from, tail counting, trim masking
+// and the fitted reference's residual sweep — live here as free functions
 // over raw spans, compiled twice from one shared body (kernels_impl.inc):
 //
 //  * generic  — the portable baseline, default optimization flags;
@@ -21,8 +22,8 @@
 //     to the sequential sum, so tiny vectors keep their historical values.)
 //  2. No contraction. Both variants compile with -ffp-contract=off and
 //     without -mfma, so a mul+add never fuses into an FMA on one side only.
-//  3. Exact operations elsewhere. Comparisons, integer counts and
-//     correctly-rounded sqrt are bitwise variant-independent by IEEE 754.
+//  3. Exact operations elsewhere. Comparisons, integer counts and fabs (a
+//     sign-bit clear) are bitwise variant-independent by IEEE 754.
 //
 // Order-sensitive sequential sums (e.g. the LDP tail-mean signal) are *not*
 // kernels on purpose: vectorizing them would require reassociation.
@@ -51,14 +52,16 @@ size_t CountAtLeast(const double* values, size_t n, double cutoff);
 /// \brief Squared Euclidean distance in the canonical 4-lane association
 /// (lane k accumulates indices congruent to k mod 4; lanes combine as
 /// (a0 + a1) + (a2 + a3)). This IS the library-wide distance definition:
-/// common/math_util.h delegates here, so scalar call sites and batched
-/// kernels agree bit for bit.
+/// common/math_util.h delegates here, so every distance the engine scores
+/// with (PositionMap rows, k-means, the leverage poison row) agrees bit for
+/// bit.
 double SquaredDistance(const double* a, const double* b, size_t n);
 
 /// \brief Inner product in the canonical 4-lane association (the dot-product
 /// sibling of SquaredDistance). Model predictions — the linear-regression
-/// fitter, the residual score model's scalar path and the batched residual
-/// kernel — all evaluate w . x through this, so they agree bit for bit.
+/// fitter, the residual score model's ScoreObservation and the batched
+/// residual kernel — all evaluate w . x through this, so they agree bit for
+/// bit.
 double LaneDot(const double* a, const double* b, size_t n);
 
 /// \brief out[r] = |y_r - (w . x_r + bias)| for `n_rows` contiguous flat
@@ -67,12 +70,6 @@ double LaneDot(const double* a, const double* b, size_t n);
 /// so the batch is bitwise-identical to per-row LaneDot evaluation.
 void AbsResidualsToModel(const double* rows, size_t n_rows, size_t width,
                          const double* weights, double bias, double* out);
-
-/// \brief out[r] = Euclidean distance of row r to `center` for `n_rows`
-/// contiguous rows of width `dims` (row-major). sqrt is correctly rounded,
-/// so the batch is bitwise-identical to per-row scalar evaluation.
-void DistancesToCenter(const double* rows, size_t n_rows, size_t dims,
-                       const double* center, double* out);
 
 // ---------------------------------------------------------------------------
 // Runtime dispatch control (tests and benches force variants; production

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/math_util.h"
-#include "game/kernels.h"
 #include "stats/order.h"
 #include "stats/quantile.h"
 
@@ -169,59 +168,6 @@ double PositionMap::PositionOf(double distance) const {
 
 double PositionMap::PositionOfRow(std::span<const double> row) const {
   return PositionOf(EuclideanDistance(row, centroid_));
-}
-
-void PositionMap::PositionsOfRows(std::span<const double> rows, size_t n_rows,
-                                  std::span<double> out) const {
-  assert(rows.size() == n_rows * centroid_.size());
-  assert(out.size() >= n_rows);
-  // One batched distance sweep, then the grid inversion: sqrt is
-  // correctly rounded and the kernel shares the canonical lane order with
-  // EuclideanDistance, so this matches per-row PositionOfRow bit for bit.
-  kernels::DistancesToCenter(rows.data(), n_rows, centroid_.size(),
-                             centroid_.data(), out.data());
-  // The inversion is PositionOf with the grid/bucket state hoisted out of
-  // the per-row call: same branches, same arithmetic, same bits. In the
-  // interior branch hi >= 1 always (grid[0] = d_lo < distance), so the
-  // hi == 0 guard of PositionOf is dropped rather than re-checked.
-  const double d_lo = grid_distance_.front();
-  const double d_hi = grid_distance_.back();
-  const double* grid = grid_distance_.data();
-  const uint32_t* buckets = inv_bucket_start_.data();
-  const size_t n_buckets = inv_bucket_start_.size();
-  const double scale = inv_bucket_scale_;
-  for (size_t r = 0; r < n_rows; ++r) {
-    const double distance = out[r];
-    if (distance <= d_lo) {
-      out[r] = d_lo > 0.0 ? kGridLo * distance / d_lo : 0.0;
-    } else if (distance >= d_hi) {
-      out[r] = 1.0 + (distance - d_hi) / d_hi;
-    } else {
-      size_t b = static_cast<size_t>((distance - d_lo) * scale);
-      if (b >= n_buckets) b = n_buckets - 1;
-      size_t hi = buckets[b];
-      while (hi > 0 && grid[hi - 1] >= distance) --hi;
-      while (grid[hi] < distance) ++hi;
-      const size_t lo = hi - 1;
-      const double span = grid[hi] - grid[lo];
-      const double frac = span > 0.0 ? (distance - grid[lo]) / span : 0.0;
-      out[r] = kGridLo + (static_cast<double>(lo) + frac) * kGridStep;
-    }
-  }
-}
-
-std::vector<double> PositionMap::MakePoint(
-    double position, std::span<const double> direction) const {
-  std::vector<double> out;
-  MakePointInto(position, direction, &out);
-  return out;
-}
-
-void PositionMap::MakePointInto(double position,
-                                std::span<const double> direction,
-                                std::vector<double>* out) const {
-  out->resize(centroid_.size());
-  MakePointInto(position, direction, std::span<double>(*out));
 }
 
 void PositionMap::MakePointInto(double position,

@@ -77,23 +77,9 @@ class PositionMap {
   /// \brief Position score of a row (its centroid distance, inverted).
   double PositionOfRow(std::span<const double> row) const;
 
-  /// \brief Batched PositionOfRow over `n_rows` contiguous rows of width
-  /// centroid().size() (row-major): one kernel sweep for the distances,
-  /// then the grid inversion per row. Bit-identical to per-row scoring.
-  void PositionsOfRows(std::span<const double> rows, size_t n_rows,
-                       std::span<double> out) const;
-
-  /// \brief Fabricates a row at `position` along `direction` (unit vector):
-  /// centroid + DistanceAt(position) * direction.
-  std::vector<double> MakePoint(double position,
-                                std::span<const double> direction) const;
-
-  /// \brief MakePoint into caller-owned storage (resized, capacity reused).
-  void MakePointInto(double position, std::span<const double> direction,
-                     std::vector<double>* out) const;
-
-  /// \brief MakePoint into a preallocated row of width centroid().size()
-  /// (the SoA row-pool shape; no resizing, no allocation).
+  /// \brief Fabricates a row at `position` along `direction` (unit vector)
+  /// into a preallocated row of width centroid().size():
+  /// centroid + DistanceAt(position) * direction (no allocation).
   void MakePointInto(double position, std::span<const double> direction,
                      std::span<double> out) const;
 

@@ -5,8 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "game/kernels.h"
-
 namespace itrim {
 
 size_t ScoreModel::PoisonCount(const GameConfig& config, double* quota) const {
@@ -42,8 +40,8 @@ Status ScoreModel::TrimAtReference(double percentile,
   return Status::OK();
 }
 
-Status ScoreModel::CheckScoreSpans(std::span<const double> obs,
-                                   std::span<double> out) const {
+Status ScoreModel::ScoreInto(std::span<const double> obs,
+                             std::span<double> out) const {
   const size_t width = ObsWidth();
   if (width == 0) {
     return Status::FailedPrecondition("model has no observation width yet");
@@ -55,18 +53,6 @@ Status ScoreModel::CheckScoreSpans(std::span<const double> obs,
         std::to_string(width) + " need " +
         std::to_string(out.size() * width));
   }
-  return Status::OK();
-}
-
-Status ScoreModel::ScoreInto(std::span<const double> obs,
-                             std::span<double> out) const {
-  return ScoreIntoScalar(obs, out);
-}
-
-Status ScoreModel::ScoreIntoScalar(std::span<const double> obs,
-                                   std::span<double> out) const {
-  ITRIM_RETURN_NOT_OK(CheckScoreSpans(obs, out));
-  const size_t width = ObsWidth();
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = ScoreObservation(obs.subspan(i * width, width));
   }
@@ -115,13 +101,6 @@ Status IdentityScoreModel::AppendPoison(double position, Rng* /*rng*/,
 double IdentityScoreModel::ScoreObservation(std::span<const double> obs) const {
   // Scalar setting: the value IS the score.
   return obs[0];
-}
-
-Status IdentityScoreModel::ScoreInto(std::span<const double> obs,
-                                     std::span<double> out) const {
-  ITRIM_RETURN_NOT_OK(CheckScoreSpans(obs, out));
-  std::copy(obs.begin(), obs.end(), out.begin());
-  return Status::OK();
 }
 
 void IdentityScoreModel::Commit(std::span<const char> keep) {
@@ -176,8 +155,6 @@ Status DistanceScoreModel::Bootstrap(size_t bootstrap_size, Rng* rng,
   const size_t dims = ObsWidth();
   ITRIM_ASSIGN_OR_RETURN(position_map_, PositionMap::Build(sample, dims));
   centroid_ = position_map_.centroid();
-  // Per-row scoring matches the batched kernel sweep bit for bit (the
-  // kernel shares the canonical distance with PositionOfRow).
   for (const double* row : sample) {
     board->RecordOne(
         position_map_.PositionOfRow(std::span<const double>(row, dims)));
@@ -245,13 +222,6 @@ Status DistanceScoreModel::AppendPoison(double position, Rng* rng,
 
 double DistanceScoreModel::ScoreObservation(std::span<const double> obs) const {
   return position_map_.PositionOfRow(obs);
-}
-
-Status DistanceScoreModel::ScoreInto(std::span<const double> obs,
-                                     std::span<double> out) const {
-  ITRIM_RETURN_NOT_OK(CheckScoreSpans(obs, out));
-  position_map_.PositionsOfRows(obs, out.size(), out);
-  return Status::OK();
 }
 
 Status DistanceScoreModel::TrimAtReference(double percentile,

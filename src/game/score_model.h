@@ -30,23 +30,14 @@
 // when something reads it. The round's scores, poison flags and pooled
 // rows come back as spans over that buffer. A model keeps only what
 // differs between settings: how it draws, scores and poisons, and its
-// retained store. Batched `ScoreInto`, backed by the dispatched kernels
-// (game/kernels.h), scores a block of flat observations with no
-// per-observation virtual call (paperbench's score probe,
-// bench_micro_score and the differential tests use it).
+// retained store.
 //
-// Batch-vs-scalar bitwise contract: `ScoreIntoScalar` is the one public
-// scalar reference path — it always loops the model's per-observation
-// scoring definition (the protected `ScoreObservation` hook), never
-// kernels — and `ScoreInto` must produce bit-identical doubles to it for
-// every observation block. Models earn that equality the same way the
-// kernels do (game/kernels.h): shared canonical FP association between the
-// scalar definition and the batch sweep, no contraction, exact operations
-// elsewhere. Differential tests pit the two paths against each other
-// across sizes and kernel variants; benches use the scalar path as the
-// pre-batching baseline. There is deliberately no second public scalar
-// entry point: callers who want one score call ScoreIntoScalar on a
-// one-observation span.
+// Scoring has one definition per model: the protected `ScoreObservation`
+// hook maps one flat observation to its percentile-comparable score, the
+// same value the model's arrival path records for that row. `ScoreInto`
+// is its public, non-virtual block form (paperbench's score probe and the
+// tests use it): it checks the spans and loops `ScoreObservation`, so it
+// times and reproduces exactly what the round loop computes.
 #ifndef ITRIM_GAME_SCORE_MODEL_H_
 #define ITRIM_GAME_SCORE_MODEL_H_
 
@@ -172,21 +163,11 @@ class ScoreModel {
     return {obs_pool_.data(), rows_used_ * obs_width_};
   }
 
-  /// \brief Batched scoring: `obs` holds `out.size()` flat observations of
-  /// ObsWidth() doubles each; writes one score per observation. The
-  /// default loops ScoreObservation; models with a vectorizable transform
-  /// override with a kernel sweep (bit-identical by the kernels.h
-  /// contract — see the header block above).
-  virtual Status ScoreInto(std::span<const double> obs,
-                           std::span<double> out) const;
-
-  /// \brief The one public scalar reference path: always loops the
-  /// per-observation scoring definition, never kernels. ScoreInto must
-  /// match it bit for bit (header block above); differential tests pit the
-  /// two against each other and benches use this as the pre-batching
-  /// baseline.
-  Status ScoreIntoScalar(std::span<const double> obs,
-                         std::span<double> out) const;
+  /// \brief Scores a block: `obs` holds `out.size()` flat observations
+  /// of ObsWidth() doubles each; writes ScoreObservation of each into
+  /// `out`. InvalidArgument when the spans disagree, FailedPrecondition
+  /// while the model has no observation width.
+  Status ScoreInto(std::span<const double> obs, std::span<double> out) const;
 
   /// \brief Injection position entered into the round record and the
   /// observations. Defaults to the adversary's realized mean; models whose
@@ -227,14 +208,9 @@ class ScoreModel {
   explicit ScoreModel(size_t obs_width) : obs_width_(obs_width) {}
 
   /// \brief Scores one flat observation payload of ObsWidth() doubles —
-  /// the model's scoring *definition*, which both public paths must match
-  /// bit for bit. Protected: external callers go through ScoreIntoScalar
-  /// (the documented scalar entry point); implementations override this.
+  /// the model's scoring *definition*, bit-identical to the score its
+  /// arrival path records. External callers go through ScoreInto.
   virtual double ScoreObservation(std::span<const double> obs) const = 0;
-
-  /// \brief Shared argument check for ScoreInto/ScoreIntoScalar.
-  Status CheckScoreSpans(std::span<const double> obs,
-                         std::span<double> out) const;
 
   /// \brief Appends one arrival's score and poison flag to the round.
   void AppendScore(double score, bool poison) {
@@ -282,8 +258,6 @@ class IdentityScoreModel : public ScoreModel {
   void AppendBenignBatch(size_t count, Rng* rng) override;
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  Status ScoreInto(std::span<const double> obs,
-                   std::span<double> out) const override;
   void Commit(std::span<const char> keep) override;
 
   /// \brief Retained values accumulated since BeginRun().
@@ -325,8 +299,6 @@ class DistanceScoreModel : public ScoreModel {
   double InjectionCap() const override { return 1.5; }
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  Status ScoreInto(std::span<const double> obs,
-                   std::span<double> out) const override;
   Status TrimAtReference(double percentile, const PublicBoard& board,
                          TrimOutcome* out) override;
   void Commit(std::span<const char> keep) override;

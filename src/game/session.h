@@ -26,12 +26,17 @@
 // same draws. Strategy state is reconstructed by
 // replaying the recorded observations, which is exact for every strategy
 // whose state is a function of its observation history (all the paper's
-// strategies). Two components sit outside the checkpoint and would need
-// their own state carried across for exact resume: a strategy drawing
-// private randomness inside Observe() (GenerousTitfortatCollector) and a
-// quality evaluator with internal state (NoisyDefectShareQuality's
-// estimation-noise Rng advances per Evaluate() call) — with those, a
-// restored stream is statistically equivalent but not bit-identical.
+// strategies). Two components keep state the checkpoint does not carry:
+//
+//  * NoisyDefectShareQuality's estimation-noise Rng advances on every
+//    Evaluate() call and nothing replays those draws, so even a restore
+//    into fresh objects diverges from the original stream.
+//  * GenerousTitfortatCollector draws private randomness inside Observe().
+//    A restore into fresh objects is exact, because the replay feeds
+//    Observe() the same observations and its Rng makes the same draws.
+//    But its Reset() does not rewind that Rng, so a Restore() into a
+//    session that has already played, or a second RunToCompletion() on
+//    the same session, diverges.
 #ifndef ITRIM_GAME_SESSION_H_
 #define ITRIM_GAME_SESSION_H_
 

@@ -10,12 +10,6 @@
 
 namespace itrim {
 
-TrimOutcome TrimAboveValue(std::span<const double> values, double cutoff) {
-  TrimOutcome out;
-  TrimAboveValueInto(values, cutoff, &out);
-  return out;
-}
-
 void TrimAboveValueInto(std::span<const double> values, double cutoff,
                         TrimOutcome* out) {
   out->cutoff = cutoff;
@@ -39,14 +33,8 @@ Result<TrimOutcome> TrimAtReferencePercentile(
     out.kept_count = values.size();
     return out;
   }
-  double cutoff = Quantile(reference, q);
-  return TrimAboveValue(values, cutoff);
-}
-
-TrimOutcome TrimTopFraction(std::span<const double> values, double q) {
   TrimOutcome out;
-  std::vector<size_t> idx;
-  TrimTopFractionInto(values, q, &idx, &out);
+  TrimAboveValueInto(values, Quantile(reference, q), &out);
   return out;
 }
 

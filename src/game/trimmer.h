@@ -3,11 +3,14 @@
 // The defender computes a score d_i per data point and removes points with
 // d_i above a threshold θ_d (Kloft & Laskov). Three variants are provided:
 //
-//  * TrimAboveValue      — scalar data, explicit cutoff value.
+//  * TrimAboveValueInto  — scalar data, explicit cutoff value.
 //  * TrimAtReferencePercentile — cutoff = percentile of a reference
 //    distribution (the public board), applied to the incoming round.
-//  * TrimTopFraction     — remove the top (1-q) mass fraction of the round
+//  * TrimTopFractionInto — remove the top (1-q) mass fraction of the round
 //    itself (the `prctile`-on-received semantics; robust to percentile atoms).
+//
+// The two rules the round loop runs write into a caller-owned TrimOutcome,
+// so a warm outcome keeps repeated trims allocation-free.
 #ifndef ITRIM_GAME_TRIMMER_H_
 #define ITRIM_GAME_TRIMMER_H_
 
@@ -29,13 +32,11 @@ struct TrimOutcome {
   double cutoff = 0.0;
 };
 
-/// \brief Removes values strictly above `cutoff`.
-TrimOutcome TrimAboveValue(std::span<const double> values, double cutoff);
-
-/// \brief TrimAboveValue into caller-owned storage: `out`'s keep mask is
-/// overwritten in place, so a warm TrimOutcome makes repeated trims
-/// allocation-free (the streaming round loop's steady state). The masking
-/// loop runs through the dispatched kernels (game/kernels.h).
+/// \brief Removes values strictly above `cutoff`, into caller-owned
+/// storage: `out`'s keep mask is overwritten in place, so a warm
+/// TrimOutcome makes repeated trims allocation-free (the streaming round
+/// loop's steady state). The masking loop runs through the dispatched
+/// kernels (game/kernels.h).
 void TrimAboveValueInto(std::span<const double> values, double cutoff,
                         TrimOutcome* out);
 
@@ -46,12 +47,10 @@ Result<TrimOutcome> TrimAtReferencePercentile(
     double q);
 
 /// \brief Removes exactly the ceil((1-q)*n) largest values of the round
-/// itself (ties broken by position). q >= 1 keeps everything.
-TrimOutcome TrimTopFraction(std::span<const double> values, double q);
-
-/// \brief TrimTopFraction into caller-owned storage. `idx_scratch` holds the
-/// partial-sort index permutation between calls; both it and `out` keep
-/// their capacity, so a warm pair makes repeated trims allocation-free.
+/// itself (ties broken by position); q >= 1 keeps everything. Writes into
+/// caller-owned storage: `idx_scratch` holds the partial-sort index
+/// permutation between calls, and both it and `out` keep their capacity,
+/// so a warm pair makes repeated trims allocation-free.
 void TrimTopFractionInto(std::span<const double> values, double q,
                          std::vector<size_t>* idx_scratch, TrimOutcome* out);
 

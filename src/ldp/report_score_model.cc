@@ -55,13 +55,6 @@ double LdpReportScoreModel::ScoreObservation(
   return obs[0];
 }
 
-Status LdpReportScoreModel::ScoreInto(std::span<const double> obs,
-                                      std::span<double> out) const {
-  ITRIM_RETURN_NOT_OK(CheckScoreSpans(obs, out));
-  std::copy(obs.begin(), obs.end(), out.begin());
-  return Status::OK();
-}
-
 // Collector-side estimate of the attack position: the board rank of the
 // centroid of this round's upper-tail excess (what an Elastic defender
 // can actually observe).

@@ -58,8 +58,6 @@ class LdpReportScoreModel : public ScoreModel {
   /// appends the attack's next poison report.
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
-  Status ScoreInto(std::span<const double> obs,
-                   std::span<double> out) const override;
   double InjectionSignal(const PublicBoard& board,
                          double adversary_mean) const override;
   Status TrimAtReference(double percentile, const PublicBoard& board,

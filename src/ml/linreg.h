@@ -16,7 +16,7 @@
 //
 // All prediction dot products run through kernels::LaneDot (the canonical
 // 4-lane association), so model evaluation here is bit-identical to the
-// batched residual kernel and to the ResidualScoreModel scalar path.
+// batched residual kernel and to ResidualScoreModel::ScoreObservation.
 #ifndef ITRIM_ML_LINREG_H_
 #define ITRIM_ML_LINREG_H_
 

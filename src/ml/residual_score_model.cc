@@ -151,15 +151,6 @@ double ResidualScoreModel::ScoreObservation(
   return AbsResidual(obs.data(), dims, obs[dims]);
 }
 
-Status ResidualScoreModel::ScoreInto(std::span<const double> obs,
-                                     std::span<double> out) const {
-  ITRIM_RETURN_NOT_OK(CheckScoreSpans(obs, out));
-  kernels::AbsResidualsToModel(obs.data(), out.size(), ObsWidth(),
-                               reference_.weights.data(), reference_.bias,
-                               out.data());
-  return Status::OK();
-}
-
 void ResidualScoreModel::Commit(std::span<const char> keep) {
   if (!retain_survivors_) return;
   const std::span<const double> rows = observations();

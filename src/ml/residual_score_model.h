@@ -77,8 +77,6 @@ class ResidualScoreModel : public ScoreModel {
   Status AppendPoison(double position, Rng* rng,
                       const PublicBoard& board) override;
   bool ProvidesObservations() const override { return true; }
-  Status ScoreInto(std::span<const double> obs,
-                   std::span<double> out) const override;
   void Commit(std::span<const char> keep) override;
 
   /// \brief Survivor rows accumulated since BeginRun() (poison rows carry

@@ -1,4 +1,4 @@
-// Bit-identity contract of the dispatched scoring kernels (game/kernels.h):
+// Bit-identity contract of the dispatched numeric kernels (game/kernels.h):
 // the generic and auto-vectorized builds must return identical bytes for
 // every input, including NaN/inf payloads and awkward sizes around the
 // 4-lane stride. A forced-variant sweep drives each public kernel through
@@ -235,23 +235,6 @@ TEST(KernelsTest, AbsResidualsToModelMatchesPerRowScalar) {
   }
 }
 
-TEST(KernelsTest, DistancesToCenterMatchesPerRowScalar) {
-  Rng rng(0xD15CULL);
-  for (size_t dims : {1u, 2u, 3u, 4u, 5u, 8u, 17u}) {
-    const size_t n_rows = 37;
-    std::vector<double> rows = RandomValues(n_rows * dims, &rng, false);
-    std::vector<double> center = RandomValues(dims, &rng, false);
-    std::vector<double> out(n_rows, -1.0);
-    kernels::DistancesToCenter(rows.data(), n_rows, dims, center.data(),
-                               out.data());
-    for (size_t r = 0; r < n_rows; ++r) {
-      const double expect = std::sqrt(
-          OracleSquaredDistance(rows.data() + r * dims, center.data(), dims));
-      EXPECT_TRUE(SameBits(out[r], expect)) << "dims=" << dims << " r=" << r;
-    }
-  }
-}
-
 // The headline contract: every kernel returns identical bytes from the
 // generic and the vector build, across sizes and special values.
 TEST(KernelsVariantEquivalenceTest, AllKernelsBitIdenticalAcrossVariants) {
@@ -317,30 +300,6 @@ TEST(KernelsVariantEquivalenceTest, AbsResidualsToModelBitIdentical) {
     kernels::ForceVariant(Variant::kVector);
     kernels::AbsResidualsToModel(rows.data(), n_rows, width, weights.data(),
                                  bias, out_v.data());
-    for (size_t r = 0; r < n_rows; ++r) {
-      EXPECT_TRUE(SameBits(out_g[r], out_v[r]))
-          << "dims=" << dims << " r=" << r;
-    }
-  }
-}
-
-TEST(KernelsVariantEquivalenceTest, DistancesToCenterBitIdentical) {
-  if (!kernels::VectorAvailable()) {
-    GTEST_SKIP() << "no AVX2: single-variant machine";
-  }
-  VariantGuard guard;
-  Rng rng(0xB17D15ULL);
-  for (size_t dims : {1u, 2u, 4u, 7u, 16u, 33u}) {
-    const size_t n_rows = 53;
-    std::vector<double> rows = RandomValues(n_rows * dims, &rng, false);
-    std::vector<double> center = RandomValues(dims, &rng, false);
-    std::vector<double> out_g(n_rows), out_v(n_rows);
-    kernels::ForceVariant(Variant::kGeneric);
-    kernels::DistancesToCenter(rows.data(), n_rows, dims, center.data(),
-                               out_g.data());
-    kernels::ForceVariant(Variant::kVector);
-    kernels::DistancesToCenter(rows.data(), n_rows, dims, center.data(),
-                               out_v.data());
     for (size_t r = 0; r < n_rows; ++r) {
       EXPECT_TRUE(SameBits(out_g[r], out_v[r]))
           << "dims=" << dims << " r=" << r;

@@ -261,7 +261,8 @@ TEST(PositionMapTest, MakePointHasRequestedPosition) {
   Rng rng(4);
   auto dir = rng.UnitVector(8);
   for (double a : {0.87, 0.9, 0.99}) {
-    auto point = map.MakePoint(a, dir);
+    std::vector<double> point(8);
+    map.MakePointInto(a, dir, point);
     EXPECT_NEAR(map.PositionOfRow(point), a, 0.006) << "a=" << a;
   }
 }

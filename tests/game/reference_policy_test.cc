@@ -1,5 +1,5 @@
 // ReferencePolicy seam: the explicit PercentileReference is the default
-// (bit for bit), the round-mass policy is TrimTopFraction on the round's
+// (bit for bit), the round-mass policy is TrimTopFractionInto on the round's
 // scores, the fitted-model policy validates its model, its trim keeps
 // exactly the budgeted lowest-residual rows, and its bucket ordering and
 // in-place fits reproduce the comparator-sort, gather-and-fit refit loop
@@ -79,8 +79,8 @@ TEST(ReferencePolicyTest, DefaultPolicyIsSharedAndNamed) {
   EXPECT_EQ(round_mass.name(), "round_mass");
 }
 
-// The round-mass policy is the round's own TrimTopFraction: it ignores the
-// board and keeps the same mask, counts and cutoff on every threshold,
+// The round-mass policy is the round's own TrimTopFractionInto: it ignores
+// the board and keeps the same mask, counts and cutoff on every threshold,
 // with its index scratch warm across calls.
 TEST(ReferencePolicyTest, RoundMassMatchesTrimTopFraction) {
   std::vector<double> pool = UniformPool(500, 23);
@@ -98,7 +98,9 @@ TEST(ReferencePolicyTest, RoundMassMatchesTrimTopFraction) {
   for (double q : {0.0, 0.5, 0.9, 0.999}) {
     SCOPED_TRACE(q);
     ASSERT_TRUE(reference.TrimRound(q, &model, board, &got).ok());
-    const TrimOutcome want = TrimTopFraction(model.scores(), q);
+    TrimOutcome want;
+    std::vector<size_t> idx;
+    TrimTopFractionInto(model.scores(), q, &idx, &want);
     EXPECT_EQ(got.keep, want.keep);
     EXPECT_EQ(got.kept_count, want.kept_count);
     EXPECT_EQ(got.removed_count, want.removed_count);

@@ -1,11 +1,11 @@
-// Differential tests of the ScoreModel v2 batched scoring surface.
+// Tests of the ScoreModel scoring surface and the base-owned round buffer.
 //
-// The v2 contract has two halves, both asserted here at the bit level:
+// Asserted here at the bit level:
 //
-//   1. ScoreInto (the batched kernel path) equals ScoreIntoScalar (the
-//      retained per-observation reference) for every model kind, batch
-//      size and dispatch variant — the batch is an optimization, never a
-//      semantic change.
+//   1. ScoreInto, the one public scoring entry point, reproduces the scores
+//      the round loop records for every row a model pools, poison rows
+//      included; the distance model's first-draw score cache matches
+//      per-row PositionMap scoring across rounds, restores and variants.
 //   2. A full game stream produces bit-identical GameSummarys whether the
 //      kernels dispatch to the generic or the auto-vectorized build,
 //      across every scheme and data setting.
@@ -46,8 +46,6 @@ struct VariantGuard {
   ~VariantGuard() { kernels::ResetVariant(); }
 };
 
-const size_t kBatchSizes[] = {0, 1, 2, 3, 4, 5, 17, 64, 257};
-
 // Bootstraps a distance model over a control-chart sample so the
 // percentile geometry exists before scoring.
 class DistanceModelFixture {
@@ -63,92 +61,11 @@ class DistanceModelFixture {
   PublicBoard board_;
 };
 
-// Flattens `count` source rows (sampled with replacement) into one span.
-std::vector<double> FlatRows(const Dataset& data, size_t count, Rng* rng) {
-  std::vector<double> flat;
-  flat.reserve(count * data.dims());
-  for (size_t i = 0; i < count; ++i) {
-    const auto& row = data.rows[rng->UniformInt(data.rows.size())];
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  return flat;
-}
-
-void ExpectBatchEqualsScalar(const ScoreModel& model,
-                             std::span<const double> obs, size_t count) {
-  std::vector<double> batch(count, -1.0), scalar(count, -2.0);
-  ASSERT_TRUE(model.ScoreInto(obs, batch).ok());
-  ASSERT_TRUE(model.ScoreIntoScalar(obs, scalar).ok());
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_TRUE(BitEqual(batch[i], scalar[i])) << "i=" << i;
-  }
-}
-
-TEST(ScoreIntoDifferentialTest, IdentityBatchEqualsScalarReference) {
-  std::vector<double> pool = UniformPool(500, 3);
-  IdentityScoreModel model(&pool);
-  ASSERT_TRUE(model.BeginRun().ok());
-  Rng rng(5);
-  for (size_t n : kBatchSizes) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<double> obs(n);
-    for (double& v : obs) v = rng.Uniform(-5.0, 5.0);
-    ExpectBatchEqualsScalar(model, obs, n);
-  }
-}
-
-TEST(ScoreIntoDifferentialTest, LdpBatchEqualsScalarReference) {
-  std::vector<double> population = UniformPool(500, 7);
-  PiecewiseMechanism mechanism(2.0);
-  InputManipulationAttack attack(1.0);
-  LdpReportScoreModel model(&population, &mechanism, &attack, 0.9);
-  Rng rng(9);
-  for (size_t n : kBatchSizes) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<double> obs(n);
-    for (double& v : obs) v = rng.Uniform(-3.0, 3.0);
-    ExpectBatchEqualsScalar(model, obs, n);
-  }
-}
-
-TEST(ScoreIntoDifferentialTest, DistanceBatchEqualsScalarReference) {
-  DistanceModelFixture fx;
-  Rng rng(11);
-  for (size_t n : kBatchSizes) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<double> obs = FlatRows(fx.data_, n, &rng);
-    ExpectBatchEqualsScalar(fx.model_, obs, n);
-  }
-}
-
-TEST(ScoreIntoDifferentialTest, DistanceBatchEqualsScalarUnderBothVariants) {
-  if (!kernels::VectorAvailable()) {
-    GTEST_SKIP() << "no AVX2: single-variant machine";
-  }
-  VariantGuard guard;
-  DistanceModelFixture fx;
-  Rng rng(13);
-  const size_t n = 129;
-  std::vector<double> obs = FlatRows(fx.data_, n, &rng);
-  std::vector<double> generic(n), vector(n), scalar(n);
-  kernels::ForceVariant(Variant::kGeneric);
-  ASSERT_TRUE(fx.model_.ScoreInto(obs, generic).ok());
-  ASSERT_TRUE(fx.model_.ScoreIntoScalar(obs, scalar).ok());
-  kernels::ForceVariant(Variant::kVector);
-  ASSERT_TRUE(fx.model_.ScoreInto(obs, vector).ok());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(BitEqual(generic[i], vector[i])) << "i=" << i;
-    EXPECT_TRUE(BitEqual(generic[i], scalar[i])) << "i=" << i;
-  }
-}
-
 TEST(ScoreIntoSpanCheckTest, MismatchedSpansAreInvalidArgument) {
   std::vector<double> pool = UniformPool(100, 17);
   IdentityScoreModel model(&pool);
   std::vector<double> obs(10), out(9);
   EXPECT_EQ(model.ScoreInto(obs, out).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(model.ScoreIntoScalar(obs, out).code(),
-            StatusCode::kInvalidArgument);
 
   DistanceModelFixture fx;
   const size_t dims = fx.data_.dims();
@@ -163,7 +80,10 @@ TEST(ScoreIntoSpanCheckTest, MismatchedSpansAreInvalidArgument) {
 // it through the same members: ObsWidth() is fixed at construction, one
 // played round leaves one score and one poison flag per arrival, and only
 // the residual model (which always pools its rows) exposes observations.
-// The distance model here retains nothing, so it pools no row.
+// The distance model pools its rows only while it retains survivors, so it
+// appears twice. For every kind that pools its rows, ScoreInto over the
+// pooled rows reproduces the recorded scores bit for bit, poison included:
+// the one public scoring entry point agrees with the arrival path.
 TEST(BaseRoundBufferTest, EveryModelKindFillsTheBaseBuffer) {
   const std::vector<double> pool = UniformPool(500, 3);
   const Dataset data = MakeControl(35, 40);
@@ -179,22 +99,27 @@ TEST(BaseRoundBufferTest, EveryModelKindFillsTheBaseBuffer) {
   struct Kind {
     std::unique_ptr<ScoreModel> model;
     size_t width;
-    bool residual;
+    bool provides;  ///< ProvidesObservations()
+    bool pools;     ///< observations() holds every arrival's row
   };
   std::vector<Kind> kinds;
-  kinds.push_back({std::make_unique<IdentityScoreModel>(&pool), 1, false});
+  kinds.push_back(
+      {std::make_unique<IdentityScoreModel>(&pool), 1, false, false});
   kinds.push_back({std::make_unique<DistanceScoreModel>(&data), data.dims(),
-                   false});
+                   false, false});
   kinds.back().model->set_retain_survivors(false);
+  kinds.push_back({std::make_unique<DistanceScoreModel>(&data), data.dims(),
+                   false, true});
   kinds.push_back({std::make_unique<LdpReportScoreModel>(
                        &pool, &mechanism, &attack, config.tth),
-                   1, false});
+                   1, false, false});
   kinds.push_back({std::make_unique<ResidualScoreModel>(&regression),
-                   regression.dims + 1, true});
+                   regression.dims + 1, true, true});
 
   for (Kind& kind : kinds) {
     ScoreModel& model = *kind.model;
-    SCOPED_TRACE(model.name());
+    SCOPED_TRACE(model.name() +
+                 (model.retain_survivors() ? " retaining" : " streaming"));
     EXPECT_EQ(model.ObsWidth(), kind.width);
     ElasticCollector collector(0.1);
     ElasticAdversary adversary(0.1);
@@ -215,41 +140,44 @@ TEST(BaseRoundBufferTest, EveryModelKindFillsTheBaseBuffer) {
     for (char flag : model.is_poison()) flagged += flag != 0 ? 1 : 0;
     EXPECT_EQ(flagged, poison);
 
-    EXPECT_EQ(model.ProvidesObservations(), kind.residual);
-    EXPECT_EQ(model.observations().size(),
-              kind.residual ? arrivals * kind.width : 0u);
+    EXPECT_EQ(model.ProvidesObservations(), kind.provides);
+    ASSERT_EQ(model.observations().size(),
+              kind.pools ? arrivals * kind.width : 0u);
+    if (!kind.pools) continue;
+    std::vector<double> rescored(arrivals, -1.0);
+    ASSERT_TRUE(model.ScoreInto(model.observations(), rescored).ok());
+    for (size_t i = 0; i < arrivals; ++i) {
+      EXPECT_TRUE(BitEqual(rescored[i], model.scores()[i]))
+          << "i=" << i << (model.is_poison()[i] ? " (poison)" : "");
+    }
   }
 }
 
 // Source-row scores are filled on a row's first draw. The round's benign
 // draws are the first RNG consumer of Step(), so replaying the pre-step
-// stream state recovers the rows; their scores must equal one batched
-// PositionsOfRows sweep over the same rows, bit for bit.
-void ExpectStepScoresMatchBatch(TrimmingSession* session,
-                                const DistanceScoreModel& model,
-                                const Dataset& data) {
+// stream state recovers the rows; their scores must equal PositionOfRow of
+// each row, computed afresh, bit for bit.
+void ExpectStepScoresMatchPerRow(TrimmingSession* session,
+                                 const DistanceScoreModel& model,
+                                 const Dataset& data) {
   Rng replay;
   replay.Restore(session->Checkpoint().rng);
   ASSERT_TRUE(session->Step().ok());
   const size_t count = session->config().round_size;
   std::vector<uint64_t> idx(count);
   replay.FillUniformInt(data.rows.size(), idx.data(), count);
-  std::vector<double> flat;
-  for (uint64_t i : idx) {
-    flat.insert(flat.end(), data.rows[i].begin(), data.rows[i].end());
-  }
-  std::vector<double> batch(count);
-  model.position_map().PositionsOfRows(flat, count, batch);
   std::span<const double> scores = model.scores();
   std::span<const char> is_poison = model.is_poison();
   ASSERT_GE(scores.size(), count);
   for (size_t i = 0; i < count; ++i) {
     EXPECT_EQ(is_poison[i], 0) << "i=" << i;
-    EXPECT_TRUE(BitEqual(scores[i], batch[i])) << "i=" << i;
+    EXPECT_TRUE(BitEqual(scores[i],
+                         model.position_map().PositionOfRow(data.rows[idx[i]])))
+        << "i=" << i;
   }
 }
 
-TEST(DistanceFirstDrawScoresTest, MatchBatchedSweepAcrossRoundsAndRestore) {
+TEST(DistanceFirstDrawScoresTest, MatchPerRowScoringAcrossRoundsAndRestore) {
   VariantGuard guard;
   // 240 source rows against 6 x 80 draws: rounds mix first draws and
   // cached repeats.
@@ -272,7 +200,7 @@ TEST(DistanceFirstDrawScoresTest, MatchBatchedSweepAcrossRoundsAndRestore) {
                               nullptr);
       ASSERT_TRUE(session.Bootstrap().ok());
       for (int round = 0; round < 6; ++round) {
-        ExpectStepScoresMatchBatch(&session, model, data);
+        ExpectStepScoresMatchPerRow(&session, model, data);
       }
       checkpoint = session.Checkpoint();
     }
@@ -283,7 +211,7 @@ TEST(DistanceFirstDrawScoresTest, MatchBatchedSweepAcrossRoundsAndRestore) {
     TrimmingSession session(config, &model, &collector, &adversary, nullptr);
     ASSERT_TRUE(session.Restore(checkpoint).ok());
     for (int round = 0; round < 3; ++round) {
-      ExpectStepScoresMatchBatch(&session, model, data);
+      ExpectStepScoresMatchPerRow(&session, model, data);
     }
   }
 }

@@ -198,7 +198,8 @@ Result<GameSummary> LegacyScalarRun(const GameConfig& config,
       outcome.kept_count = received.size();
       outcome.cutoff = std::numeric_limits<double>::infinity();
     } else if (round_mass) {
-      outcome = TrimTopFraction(received, trim_percentile);
+      std::vector<size_t> idx;
+      TrimTopFractionInto(received, trim_percentile, &idx, &outcome);
     } else {
       ITRIM_ASSIGN_OR_RETURN(
           outcome, TrimAtReferencePercentile(received, board.legacy.values(),
@@ -323,7 +324,8 @@ Result<GameSummary> LegacyDistanceRun(const GameConfig& config,
       double a = adversary->InjectionPercentile(ctx, &rng);
       a = Clamp(a, 0.0, 1.5);
       injection_sum += a;
-      received.push_back(position_map.MakePoint(a, direction));
+      std::vector<double>& row = received.emplace_back(source.dims());
+      position_map.MakePointInto(a, direction, row);
       if (labeled) {
         received_labels.push_back(static_cast<int>(
             rng.UniformInt(std::max<size_t>(1, source.num_clusters))));
@@ -349,9 +351,10 @@ Result<GameSummary> LegacyDistanceRun(const GameConfig& config,
       outcome.kept_count = received.size();
       outcome.cutoff = std::numeric_limits<double>::infinity();
     } else if (round_mass) {
-      outcome = TrimTopFraction(scores, trim_percentile);
+      std::vector<size_t> idx;
+      TrimTopFractionInto(scores, trim_percentile, &idx, &outcome);
     } else {
-      outcome = TrimAboveValue(scores, trim_percentile);
+      TrimAboveValueInto(scores, trim_percentile, &outcome);
     }
 
     RoundRecord record;

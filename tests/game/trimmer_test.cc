@@ -11,7 +11,8 @@ namespace {
 
 TEST(TrimAboveValueTest, StrictlyAboveRemoved) {
   const std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
-  auto outcome = TrimAboveValue(values, 2.0);
+  TrimOutcome outcome;
+  TrimAboveValueInto(values, 2.0, &outcome);
   EXPECT_EQ(outcome.kept_count, 2u);
   EXPECT_EQ(outcome.removed_count, 2u);
   EXPECT_EQ(outcome.keep[0], 1);
@@ -22,7 +23,8 @@ TEST(TrimAboveValueTest, StrictlyAboveRemoved) {
 }
 
 TEST(TrimAboveValueTest, EmptyInput) {
-  auto outcome = TrimAboveValue({}, 1.0);
+  TrimOutcome outcome;
+  TrimAboveValueInto({}, 1.0, &outcome);
   EXPECT_EQ(outcome.kept_count, 0u);
   EXPECT_EQ(outcome.removed_count, 0u);
 }
@@ -56,7 +58,9 @@ TEST(TrimAtReferencePercentileTest, QAtLeastOneKeepsEverything) {
 
 TEST(TrimTopFractionTest, RemovesExactCount) {
   std::vector<double> v = {5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 4.0, 6.0, 0.0};
-  auto outcome = TrimTopFraction(v, 0.8);  // remove top 20% = 2 values
+  TrimOutcome outcome;
+  std::vector<size_t> idx;
+  TrimTopFractionInto(v, 0.8, &idx, &outcome);  // remove top 20% = 2 values
   EXPECT_EQ(outcome.removed_count, 2u);
   EXPECT_EQ(outcome.kept_count, 8u);
   // The two largest (9, 8) must be gone.
@@ -66,20 +70,26 @@ TEST(TrimTopFractionTest, RemovesExactCount) {
 
 TEST(TrimTopFractionTest, CutoffIsSmallestRemoved) {
   std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  auto outcome = TrimTopFraction(v, 0.5);
+  TrimOutcome outcome;
+  std::vector<size_t> idx;
+  TrimTopFractionInto(v, 0.5, &idx, &outcome);
   EXPECT_EQ(outcome.removed_count, 2u);
   EXPECT_DOUBLE_EQ(outcome.cutoff, 3.0);
 }
 
 TEST(TrimTopFractionTest, KeepAllWhenQGeOne) {
   std::vector<double> v = {1.0, 2.0};
-  auto outcome = TrimTopFraction(v, 1.0);
+  TrimOutcome outcome;
+  std::vector<size_t> idx;
+  TrimTopFractionInto(v, 1.0, &idx, &outcome);
   EXPECT_EQ(outcome.kept_count, 2u);
 }
 
 TEST(TrimTopFractionTest, RemoveAllWhenQZero) {
   std::vector<double> v = {1.0, 2.0, 3.0};
-  auto outcome = TrimTopFraction(v, 0.0);
+  TrimOutcome outcome;
+  std::vector<size_t> idx;
+  TrimTopFractionInto(v, 0.0, &idx, &outcome);
   EXPECT_EQ(outcome.removed_count, 3u);
   EXPECT_EQ(outcome.kept_count, 0u);
 }
@@ -89,7 +99,9 @@ TEST(TrimTopFractionTest, AtomAtThresholdPartiallyRemoved) {
   // of them, modeling the percentile-atom behavior of the MATLAB pipeline.
   std::vector<double> v(80, 1.0);
   v.insert(v.end(), 20, 5.0);
-  auto outcome = TrimTopFraction(v, 0.9);
+  TrimOutcome outcome;
+  std::vector<size_t> idx;
+  TrimTopFractionInto(v, 0.9, &idx, &outcome);
   EXPECT_EQ(outcome.removed_count, 10u);
   size_t atoms_kept = 0;
   for (size_t i = 80; i < 100; ++i) atoms_kept += outcome.keep[i];
@@ -118,7 +130,9 @@ TEST_P(TrimMonotonicityTest, TopFractionCountExact) {
   std::vector<double> round;
   for (int i = 0; i < 137; ++i) round.push_back(rng.Normal());
   for (double q : {0.1, 0.37, 0.5, 0.9, 0.99}) {
-    auto outcome = TrimTopFraction(round, q);
+    TrimOutcome outcome;
+    std::vector<size_t> idx;
+    TrimTopFractionInto(round, q, &idx, &outcome);
     size_t expected =
         static_cast<size_t>(std::ceil((1.0 - q) * round.size()));
     EXPECT_EQ(outcome.removed_count, expected) << "q=" << q;

@@ -1,5 +1,5 @@
-// ResidualScoreModel in the interactive game: batch-vs-scalar scoring
-// bit-identity across kernel variants, a differential check against a
+// ResidualScoreModel in the interactive game: scoring bit-identity across
+// kernel variants, a differential check against a
 // replica of the eager interleaved-copy bootstrap, full sessions under both
 // trim references, checkpoint/restore bit-identity at every split point,
 // and fleet thread-count determinism.
@@ -44,7 +44,10 @@ GameConfig ResidualConfig(uint64_t seed) {
   return config;
 }
 
-TEST(ResidualScoreModelTest, BatchScoringEqualsScalarAcrossSizesAndVariants) {
+// ScoreObservation evaluates w . x through the dispatched LaneDot, so
+// ScoreInto must give the same bits under either kernel build.
+TEST(ResidualScoreModelTest, ScoringBitIdenticalAcrossSizesAndVariants) {
+  VariantGuard guard;
   RegressionData source = MakeSyntheticRegression(300, 4, 0.1, 21);
   ResidualScoreModel model(&source);
   Rng rng(5);
@@ -58,18 +61,13 @@ TEST(ResidualScoreModelTest, BatchScoringEqualsScalarAcrossSizesAndVariants) {
   for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 16u, 33u, 100u}) {
     std::vector<double> obs(n * width);
     for (double& v : obs) v = obs_rng.Uniform(-2.0, 2.0);
-    std::vector<double> scalar(n);
-    ASSERT_TRUE(model.ScoreIntoScalar(obs, scalar).ok());
-    for (Variant variant : {Variant::kGeneric, Variant::kVector}) {
-      VariantGuard guard;
-      kernels::ForceVariant(variant);
-      std::vector<double> batch(n, -1.0);
-      ASSERT_TRUE(model.ScoreInto(obs, batch).ok());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(BitEqual(batch[i], scalar[i]))
-            << "n=" << n << " i=" << i << " variant="
-            << kernels::VariantName(variant);
-      }
+    std::vector<double> generic(n, -1.0), vector(n, -2.0);
+    kernels::ForceVariant(Variant::kGeneric);
+    ASSERT_TRUE(model.ScoreInto(obs, generic).ok());
+    kernels::ForceVariant(Variant::kVector);
+    ASSERT_TRUE(model.ScoreInto(obs, vector).ok());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(BitEqual(generic[i], vector[i])) << "n=" << n << " i=" << i;
     }
   }
 }
